@@ -26,7 +26,7 @@ all: build vet test
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(GO) test ./...
+	$(GO) test -timeout 300s ./...
 	$(GO) test -race ./rcu/... ./internal/core/... ./citrustrace/... ./internal/schedpoint/... ./internal/torture/...
 	$(GO) test -race -run 'Trace|Tracing' .
 	GOMAXPROCS=4 $(GO) test -race -run 'Forest|Sharded|Partition|Router' . ./internal/partition/... ./internal/impls/... ./examples/kvserver/...
@@ -53,7 +53,7 @@ fmt:
 	gofmt -l -w .
 
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 300s ./...
 
 race:
 	$(GO) test -race ./...

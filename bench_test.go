@@ -112,7 +112,7 @@ func BenchmarkFigure10e(b *testing.B) { benchFigure(b, "10e") }
 func BenchmarkFigure10f(b *testing.B) { benchFigure(b, "10f") }
 
 // BenchmarkRCUPrimitives (ablation A2) measures the read-side cost of the
-// two RCU flavors against the synchronization primitives an RCU-less
+// three RCU flavors against the synchronization primitives an RCU-less
 // design would use instead.
 func BenchmarkRCUPrimitives(b *testing.B) {
 	b.Run("Domain/ReadLockUnlock", func(b *testing.B) {
@@ -127,6 +127,16 @@ func BenchmarkRCUPrimitives(b *testing.B) {
 	})
 	b.Run("ClassicDomain/ReadLockUnlock", func(b *testing.B) {
 		d := rcu.NewClassicDomain()
+		r := d.Register()
+		defer r.Unregister()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.ReadLock()
+			r.ReadUnlock()
+		}
+	})
+	b.Run("EpochDomain/ReadLockUnlock", func(b *testing.B) {
+		d := rcu.NewEpochDomain()
 		r := d.Register()
 		defer r.Unregister()
 		b.ResetTimer()
@@ -152,7 +162,7 @@ func BenchmarkRCUPrimitives(b *testing.B) {
 }
 
 // BenchmarkSynchronize (ablation A1 companion) measures grace-period cost
-// for both flavors, with idle and with actively cycling readers.
+// for all three flavors, with idle and with actively cycling readers.
 func BenchmarkSynchronize(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
@@ -160,6 +170,7 @@ func BenchmarkSynchronize(b *testing.B) {
 	}{
 		{"Domain", func() rcu.Flavor { return rcu.NewDomain() }},
 		{"ClassicDomain", func() rcu.Flavor { return rcu.NewClassicDomain() }},
+		{"EpochDomain", func() rcu.Flavor { return rcu.NewEpochDomain() }},
 	} {
 		b.Run(tc.name+"/idleReaders", func(b *testing.B) {
 			f := tc.flavor()

@@ -212,8 +212,11 @@ func (s *server) servePromMetrics(w http.ResponseWriter, r *http.Request) {
 			e.Counter("citrus_rcu_synchronizes_total", "Grace periods driven to completion.", float64(rs.Synchronizes), shard, flavorL)
 			e.Counter("citrus_rcu_stalls_total", "Grace-period stall reports.", float64(rs.Stalls), shard, flavorL)
 			e.Counter("citrus_rcu_sync_abandoned_total", "Bounded synchronize calls abandoned by their caller.", float64(rs.SyncAbandoned), shard, flavorL)
-			e.Counter("citrus_rcu_sync_leads_total", "Synchronize calls that led a reader scan.", float64(rs.SyncLeads), shard, flavorL)
-			e.Counter("citrus_rcu_sync_shares_total", "Synchronize calls that piggybacked on another caller's grace period.", float64(rs.SyncShares), shard, flavorL)
+			// leads + shares + expedited == synchronizes: each call counts
+			// once, under how it finished.
+			e.Counter("citrus_rcu_sync_leads_total", "Synchronize calls released by a grace period they ran themselves (one part of synchronizes).", float64(rs.SyncLeads), shard, flavorL)
+			e.Counter("citrus_rcu_sync_shares_total", "Synchronize calls released by a grace period another caller led (one part of synchronizes).", float64(rs.SyncShares), shard, flavorL)
+			e.Counter("citrus_rcu_sync_expedited_total", "Synchronize calls whose grace period had already completed when they looked (one part of synchronizes).", float64(rs.SyncExpedited), shard, flavorL)
 			e.Gauge("citrus_rcu_active_stalls", "Synchronize calls currently stalled past the threshold.", float64(rs.ActiveStalls), shard, flavorL)
 			e.Gauge("citrus_rcu_active_syncs", "Synchronize calls currently in flight.", float64(rs.ActiveSyncs), shard, flavorL)
 			e.Gauge("citrus_rcu_oldest_sync_age_seconds", "Age of the oldest in-flight grace period.", float64(rs.OldestSyncAgeNanos)/1e9, shard, flavorL)

@@ -358,7 +358,7 @@ func TestFlavorSelection(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				m := promScrape(t, s)
+				m := quiescentScrape(t, s)
 				info := m["kvserver_rcu_flavor_info"]
 				if info == nil || len(info.Samples) != 1 || info.Samples[0].Label("flavor") != flavor {
 					t.Fatalf("kvserver_rcu_flavor_info = %+v, want one sample labeled %q", info, flavor)
@@ -367,10 +367,28 @@ func TestFlavorSelection(t *testing.T) {
 				if syncs == nil || len(syncs.Samples) != shards {
 					t.Fatalf("citrus_rcu_synchronizes_total: %+v, want %d shard samples", syncs, shards)
 				}
+				var total float64
 				for _, sm := range syncs.Samples {
 					if got := sm.Label("flavor"); got != flavor {
 						t.Fatalf("rcu series flavor label = %q, want %q", got, flavor)
 					}
+					// Every call counts once, under how it finished.
+					shard := sm.Label("shard")
+					var parts float64
+					for _, fam := range []string{"citrus_rcu_sync_leads_total", "citrus_rcu_sync_shares_total", "citrus_rcu_sync_expedited_total"} {
+						part := m[fam].Sample("shard", shard, "flavor", flavor)
+						if part == nil {
+							t.Fatalf("%s has no sample for shard %s", fam, shard)
+						}
+						parts += part.Value
+					}
+					if parts != sm.Value {
+						t.Fatalf("shard %s: leads + shares + expedited = %v, want synchronizes = %v", shard, parts, sm.Value)
+					}
+					total += sm.Value
+				}
+				if total == 0 {
+					t.Fatal("no grace periods ran; the partition check saw nothing")
 				}
 
 				var doc map[string]any
@@ -381,6 +399,29 @@ func TestFlavorSelection(t *testing.T) {
 					t.Fatalf("/metrics flavor = %v, want %q", got, flavor)
 				}
 			})
+		}
+	}
+}
+
+// quiescentScrape polls /metrics.prom until every shard's reclaimer has
+// run all it was deferred — the reclaimer drives its own grace periods
+// on each shard's domain — and then returns a fresh scrape: one scrape
+// reads a shard's RCU series before its reclaimer series, so only a
+// scrape taken after the settle has settled RCU counters.
+func quiescentScrape(t *testing.T, s *server) promtext.Metrics {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		m := promScrape(t, s)
+		settled := true
+		for _, sm := range m["citrus_reclaim_deferred_total"].Samples {
+			ex := m["citrus_reclaim_executed_total"].Sample("shard", sm.Label("shard"))
+			settled = settled && ex != nil && ex.Value == sm.Value
+		}
+		if settled {
+			return promScrape(t, s)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("reclaimers still busy after 5s")
 		}
 	}
 }

@@ -94,7 +94,7 @@ func AblationTracedCitrus() dict.Map[int, int] {
 
 // NewCitrusWithFlavor returns a Citrus tree on an arbitrary RCU flavor
 // under an arbitrary series name — used by the ablation benchmarks, e.g.
-// with an rcu.InstrumentedFlavor to account grace periods.
+// over rcu.NoSync, or over a domain whose native Stats they read.
 func NewCitrusWithFlavor[K cmp.Ordered, V any](flavor rcu.Flavor, name string) dict.Map[K, V] {
 	return &citrusMap[K, V]{t: core.NewTree[K, V](flavor), name: name}
 }

@@ -1,12 +1,10 @@
 package rcu
 
 import (
-	"runtime"
+	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"github.com/go-citrus/citrus/citrustrace"
 	"github.com/go-citrus/citrus/internal/schedpoint"
 )
 
@@ -25,23 +23,9 @@ import (
 //
 // The zero value is ready to use.
 type ClassicDomain struct {
-	mu      sync.Mutex // registration copy-on-write
-	syncMu  sync.Mutex // serializes Synchronize callers (the bottleneck)
-	gp      atomic.Uint64
-	readers atomic.Pointer[[]*ClassicHandle]
-	nextID  atomic.Uint64 // reader handle ids, for trace attribution
-
-	// tracer, when set, receives one grace-period span per Synchronize
-	// with a per-reader wait breakdown (see Domain.tracer).
-	tracer atomic.Pointer[citrustrace.SyncTracer]
-
-	// stall is the stall-detection configuration (see stall.go), shared
-	// with Domain; off by default.
-	stall stallControl
-
-	// stats accumulates grace-period accounting. Only Register and
-	// Synchronize write it; the read-side primitives never touch it.
-	stats syncStats
+	engine[*ClassicHandle]
+	syncMu sync.Mutex    // serializes Synchronize callers (the bottleneck)
+	gp     atomic.Uint64 // global grace-period counter
 }
 
 // NewClassicDomain returns a new, empty ClassicDomain.
@@ -61,19 +45,13 @@ type ClassicHandle struct {
 	slot atomic.Uint64
 	_    [cacheLinePad - 8]byte
 
-	d    *ClassicDomain
-	id   uint64
-	site string // registration call site; "" unless SetSiteCapture was on
+	readerBase
+	d *ClassicDomain
 }
 
-// ID reports the handle's domain-unique reader id, stable for the
-// handle's lifetime. Tracing uses it to attribute grace-period waits to
-// specific readers (citrustrace.EvReaderWait).
-func (h *ClassicHandle) ID() uint64 { return h.id }
-
-// Site reports the handle's registration call site, "" unless the
-// domain's SetSiteCapture was enabled when the handle was registered.
-func (h *ClassicHandle) Site() string { return h.site }
+// active reports whether the handle is inside a read-side critical
+// section.
+func (h *ClassicHandle) active() bool { return h.slot.Load() != 0 }
 
 // Register adds a reader to the domain and returns its handle.
 func (d *ClassicDomain) Register() Reader { return d.register() }
@@ -82,21 +60,8 @@ func (d *ClassicDomain) register() *ClassicHandle {
 	if d.gp.Load() == 0 {
 		d.gp.CompareAndSwap(0, 1) // zero-value domain: establish epoch 1
 	}
-	h := &ClassicHandle{d: d, id: d.nextID.Add(1)}
-	if d.stall.capture.Load() {
-		h.site = registrationSite()
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.readers.Load()
-	var rs []*ClassicHandle
-	if old != nil {
-		rs = make([]*ClassicHandle, len(*old), len(*old)+1)
-		copy(rs, *old)
-	}
-	rs = append(rs, h)
-	d.readers.Store(&rs)
-	d.stats.noteReaders(len(rs))
+	h := &ClassicHandle{readerBase: d.enroll(false), d: d}
+	d.add(h)
 	return h
 }
 
@@ -138,36 +103,34 @@ func (h *ClassicHandle) Synchronize() {
 	d.Synchronize()
 }
 
+// SynchronizeCtx bounds a grace-period wait on the handle's domain with
+// ctx; see Domain.SynchronizeCtx.
+func (h *ClassicHandle) SynchronizeCtx(ctx context.Context) error {
+	d := h.d
+	if d == nil {
+		panic("rcu: ClassicHandle used after Unregister")
+	}
+	return d.SynchronizeCtx(ctx)
+}
+
 // Unregister removes the handle from its domain. The handle must not be
 // inside a read-side critical section. Unregister is idempotent; any
 // other use of the handle afterwards panics with a descriptive message.
 func (h *ClassicHandle) Unregister() {
-	if h.slot.Load() != 0 {
+	if h.active() {
 		panic("rcu: Unregister inside a read-side critical section")
 	}
-	d := h.d
-	if d == nil {
-		return // already unregistered
+	if h.d != nil {
+		h.d.remove(h)
+		h.d = nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.readers.Load()
-	if old == nil {
-		return
-	}
-	rs := make([]*ClassicHandle, 0, len(*old))
-	for _, r := range *old {
-		if r != h {
-			rs = append(rs, r)
-		}
-	}
-	d.readers.Store(&rs)
-	h.d = nil
 }
 
 // Synchronize blocks until every pre-existing read-side critical section
 // has completed. All callers serialize behind one mutex — the bottleneck
-// the paper's Figure 8 measures.
+// the paper's Figure 8 measures — and each runs its own grace period, so
+// every call counts as a lead; the engine supplies only the waiter and
+// the bookkeeping.
 //
 // The original C implementation flips a one-bit phase twice per grace
 // period because a single flip admits a reordering race between a reader
@@ -177,142 +140,30 @@ func (h *ClassicHandle) Unregister() {
 // section (wait for it); a slot of zero or at/above the new epoch belongs
 // to no section or to one that started after this call (ignore it).
 func (d *ClassicDomain) Synchronize() {
-	// Start the clock — and the trace span — before queueing on syncMu:
-	// the wait reported in Stats and in the EvSync event includes the
-	// serialization behind other synchronizers, which is the cost
-	// Figure 8 is about.
-	start := time.Now()
-	var span *citrustrace.SyncSpan
-	if tr := d.tracer.Load(); tr != nil {
-		s := tr.SyncBegin()
-		span = &s
-	}
-	var cost syncCost
-	watch := d.stall.newStallWatch(start)
-	tok := d.stats.syncEnter(start)
+	// Open the call — clock, stall watch and trace span — before queueing
+	// on syncMu: the wait reported in Stats and in the EvSync event
+	// includes the serialization behind other synchronizers, which is
+	// the cost Figure 8 is about.
+	c := d.begin("classic")
+	c.outcome = syncLed
 	d.syncMu.Lock()
 	defer func() {
 		d.syncMu.Unlock()
-		d.stats.syncExit(tok)
-		watch.settle(&d.stats)
-		if span != nil {
-			span.End(cost.spins, cost.yields)
-		}
-		// Every classic Synchronize leads its own grace period; there is
-		// no combining to share or expedite.
-		d.stats.record(start, cost, true, false, false)
+		c.end()
 	}()
 	// Torture window: before the counter flip, the new grace period is
 	// decided but not yet visible to entering readers.
 	schedpoint.Hit(schedpoint.RCUSyncFlip)
 	newGP := d.gp.Add(1)
-	rsp := d.readers.Load()
-	if rsp == nil {
-		return
-	}
-	readers := *rsp
-	for i, r := range readers {
-		// Torture window: mid-scan between readers.
-		schedpoint.Hit(schedpoint.RCUSyncScan)
-		var spins int64
-		var waitStart time.Time
-		sleep := minWaiterSleep
-		for attempt := int64(0); ; attempt++ {
-			c := r.slot.Load()
-			if c == 0 || c >= newGP {
-				break
-			}
-			if span != nil && waitStart.IsZero() {
-				// First failed check: the reader is inside a
-				// pre-existing critical section this grace period must
-				// wait out.
-				waitStart = time.Now()
-			}
-			switch {
-			case attempt < spinsBeforeYield:
-				spins++
-			case attempt < spinsBeforeYield+yieldsBeforeSleep:
-				runtime.Gosched()
-				cost.yields++
-				cost.rechecks++
-			default:
-				// Descheduled or long-running reader: stop burning the
-				// core and sleep between re-checks (see Domain).
-				time.Sleep(sleep)
-				if sleep < maxWaiterSleep {
-					sleep *= 2
-				}
-				cost.sleeps++
-				cost.rechecks++
-				if watch.due() {
-					watch.fire(&d.stall, &d.stats, span, "classic",
-						stalledClassic(readers[i:], newGP))
-				}
-			}
-		}
-		cost.spins += spins
-		if span != nil && !waitStart.IsZero() {
-			span.ReaderWait(r.id, waitStart, time.Since(waitStart), spins)
-		}
-	}
+	rs := d.registered()
+	waitOut(&c, rs, func(i int) bool {
+		slot := rs[i].slot.Load()
+		return slot != 0 && slot < newGP
+	})
 }
 
-// stalledClassic collects, from the readers a classic scan has not yet
-// cleared, those still inside a critical section that predates newGP —
-// the set the grace period is blocked on.
-func stalledClassic(readers []*ClassicHandle, newGP uint64) []StalledReader {
-	var out []StalledReader
-	for _, r := range readers {
-		if c := r.slot.Load(); c != 0 && c < newGP {
-			out = append(out, StalledReader{ID: r.id, Site: r.site})
-		}
-	}
-	return out
-}
-
-// SetTracer attaches tr's grace-period event recording to the domain
-// (see citrustrace.SyncTracer); nil detaches. Safe to toggle at any
-// time, concurrently with Synchronize calls.
-func (d *ClassicDomain) SetTracer(tr *citrustrace.SyncTracer) { d.tracer.Store(tr) }
-
-// SetStallTimeout arms the grace-period stall detector; see
-// Domain.SetStallTimeout for the exact semantics. For ClassicDomain the
-// threshold measures the whole call, including serialization behind
-// other synchronizers on the global mutex, but reports only fire while
-// blocked on readers (a call queued behind a stalled synchronizer
-// surfaces as that call's stall, not its own).
-func (d *ClassicDomain) SetStallTimeout(timeout time.Duration) {
-	if timeout < 0 {
-		timeout = 0
-	}
-	d.stall.timeout.Store(int64(timeout))
-}
-
-// SetStallHandler installs fn as the stall-report sink (nil removes
-// it); see Domain.SetStallHandler.
-func (d *ClassicDomain) SetStallHandler(fn func(StallReport)) {
-	if fn == nil {
-		d.stall.handler.Store(nil)
-		return
-	}
-	d.stall.handler.Store(&fn)
-}
-
-// SetSiteCapture toggles registration-site capture for stall
-// attribution; see Domain.SetSiteCapture.
-func (d *ClassicDomain) SetSiteCapture(on bool) { d.stall.capture.Store(on) }
-
-// Stats reports the domain's cumulative grace-period accounting. It may
-// be called at any time from any goroutine; all counters are monotonic
-// except the ActiveStalls gauge.
-func (d *ClassicDomain) Stats() Stats { return d.stats.snapshot(d.Readers()) }
-
-// Readers reports the number of currently registered readers. Intended for
-// tests and instrumentation.
-func (d *ClassicDomain) Readers() int {
-	rsp := d.readers.Load()
-	if rsp == nil {
-		return 0
-	}
-	return len(*rsp)
-}
+// SynchronizeCtx waits for all pre-existing read-side critical sections
+// like Synchronize, but returns early — with an error matching both
+// ErrGracePeriodTimeout and ctx.Err() — when ctx is done first. See
+// Domain.SynchronizeCtx for the exact semantics.
+func (d *ClassicDomain) SynchronizeCtx(ctx context.Context) error { return d.synchronizeCtx(ctx, d) }

@@ -77,6 +77,70 @@ func TestSynchronizeCombinesConcurrentCallers(t *testing.T) {
 	}
 }
 
+// TestSyncOutcomesPartitionCalls pins the accounting contract on every
+// flavor: each Synchronize call finishes exactly one way — it led its
+// own grace period, shared one another caller led, or was expedited —
+// so SyncLeads + SyncShares + SyncExpedited == Synchronizes, and every
+// shared call waited at least once as a follower. Each flavor runs
+// once idle and once with its callers piled up behind a parked reader,
+// where the combining flavors share grace periods.
+func TestSyncOutcomesPartitionCalls(t *testing.T) {
+	for _, f := range []struct {
+		name string
+		new  func() statsFlavor
+	}{
+		{"Domain", func() statsFlavor { return NewDomain() }},
+		{"EpochDomain", func() statsFlavor { return NewEpochDomain() }},
+		{"ClassicDomain", func() statsFlavor { return NewClassicDomain() }},
+	} {
+		for _, parked := range []bool{false, true} {
+			name := f.name + "/idle"
+			if parked {
+				name = f.name + "/parkedReader"
+			}
+			t.Run(name, func(t *testing.T) {
+				d := f.new()
+				release := func() {}
+				if parked {
+					release = parkReader(t, d)
+				}
+				const callers, rounds = 8, 25
+				var wg sync.WaitGroup
+				for range callers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for range rounds {
+							d.Synchronize()
+						}
+					}()
+				}
+				if parked {
+					time.Sleep(20 * time.Millisecond)
+				}
+				release()
+				wg.Wait()
+
+				s := d.Stats()
+				if want := int64(callers * rounds); s.Synchronizes != want {
+					t.Fatalf("Synchronizes = %d, want %d", s.Synchronizes, want)
+				}
+				if got := s.SyncLeads + s.SyncShares + s.SyncExpedited; got != s.Synchronizes {
+					t.Fatalf("leads(%d) + shares(%d) + expedited(%d) = %d, want Synchronizes = %d",
+						s.SyncLeads, s.SyncShares, s.SyncExpedited, got, s.Synchronizes)
+				}
+				if s.FollowerWait.Total() < s.SyncShares {
+					t.Fatalf("FollowerWait.Total() = %d < SyncShares = %d (every shared call waits at least once)",
+						s.FollowerWait.Total(), s.SyncShares)
+				}
+				if f.name == "ClassicDomain" && s.SyncLeads != s.Synchronizes {
+					t.Fatalf("ClassicDomain leads = %d, want every call (%d) to lead", s.SyncLeads, s.Synchronizes)
+				}
+			})
+		}
+	}
+}
+
 // TestCombiningDisabledScansPerCall pins the ablation escape hatch:
 // with SetCombining(false) every call runs — and is accounted as — its
 // own scan.
@@ -148,7 +212,7 @@ func TestSnapEarlyMutantSkipsWait(t *testing.T) {
 }
 
 // TestSyncCostSeparatesSpinsFromRechecks pins the wait-loop accounting
-// contract on both flavors: a grace period blocked long enough to
+// contract on every flavor: a grace period blocked long enough to
 // escalate must report busy spins (pre-yield state reads), yields,
 // post-escalation rechecks AND sleeps — the sleep phase is what bounds
 // the old unbounded-Gosched core burn — while an unblocked grace period
@@ -160,6 +224,7 @@ func TestSyncCostSeparatesSpinsFromRechecks(t *testing.T) {
 	}{
 		{"Domain", NewDomain()},
 		{"ClassicDomain", NewClassicDomain()},
+		{"EpochDomain", NewEpochDomain()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.d
@@ -212,7 +277,7 @@ func TestSyncCostSeparatesSpinsFromRechecks(t *testing.T) {
 }
 
 // TestRegisterChurnDuringSynchronizeStorm races registration changes
-// against a Synchronize storm on both flavors — run under -race, this
+// against a Synchronize storm on every flavor — run under -race, this
 // pins the copy-on-write reader list against the lock-free scan and the
 // combining fast path.
 func TestRegisterChurnDuringSynchronizeStorm(t *testing.T) {
@@ -222,6 +287,7 @@ func TestRegisterChurnDuringSynchronizeStorm(t *testing.T) {
 	}{
 		{"Domain", NewDomain()},
 		{"ClassicDomain", NewClassicDomain()},
+		{"EpochDomain", NewEpochDomain()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.d

@@ -82,8 +82,8 @@ func BeginSynchronize(f Flavor) <-chan struct{} {
 // call has completed, or a non-nil error — matching both
 // ErrGracePeriodTimeout and ctx.Err() under errors.Is — when ctx is
 // done first. Flavors implementing ContextSynchronizer (Domain,
-// ClassicDomain) handle it natively with their own accounting; any
-// other flavor is wrapped via BeginSynchronize.
+// ClassicDomain, EpochDomain) handle it natively with their own
+// accounting; any other flavor is wrapped via BeginSynchronize.
 func SynchronizeContext(ctx context.Context, f Flavor) error {
 	if ctx.Done() == nil {
 		f.Synchronize()
@@ -101,84 +101,4 @@ func SynchronizeContext(ctx context.Context, f Flavor) error {
 	case <-ctx.Done():
 		return GracePeriodTimeout(ctx.Err())
 	}
-}
-
-// synchronizeCtx is the shared SynchronizeCtx implementation behind
-// both domain flavors: run the full Synchronize in a helper goroutine,
-// release the caller on whichever of completion and cancellation comes
-// first. abandoned is bumped when the caller leaves early, so Stats
-// exposes how often deadlines cut grace-period waits short.
-func synchronizeCtx(ctx context.Context, f Flavor, s *syncStats) error {
-	if ctx.Done() == nil {
-		f.Synchronize()
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return GracePeriodTimeout(err)
-	}
-	select {
-	case <-BeginSynchronize(f):
-		return nil
-	case <-ctx.Done():
-		s.abandoned.Add(1)
-		return GracePeriodTimeout(ctx.Err())
-	}
-}
-
-// SynchronizeCtx waits for all pre-existing read-side critical sections
-// like Synchronize, but returns early — with an error matching both
-// ErrGracePeriodTimeout and ctx.Err() — when ctx is done first. The
-// abandoned grace period continues in a background goroutine (counted
-// in Stats.SyncAbandoned) and still provides its full guarantee to any
-// concurrent caller combining with it; the goroutine exits when the
-// grace period completes. A context without a deadline or cancellation
-// (ctx.Done() == nil) degrades to a plain Synchronize.
-func (d *Domain) SynchronizeCtx(ctx context.Context) error {
-	return synchronizeCtx(ctx, d, &d.stats)
-}
-
-// SynchronizeCtx waits for all pre-existing read-side critical sections
-// like Synchronize, but returns early — with an error matching both
-// ErrGracePeriodTimeout and ctx.Err() — when ctx is done first. See
-// Domain.SynchronizeCtx for the exact semantics.
-func (d *ClassicDomain) SynchronizeCtx(ctx context.Context) error {
-	return synchronizeCtx(ctx, d, &d.stats)
-}
-
-// SynchronizeCtx bounds a grace-period wait on the handle's domain with
-// ctx; see Domain.SynchronizeCtx.
-func (h *Handle) SynchronizeCtx(ctx context.Context) error {
-	d := h.d
-	if d == nil {
-		panic("rcu: Handle used after Unregister")
-	}
-	return d.SynchronizeCtx(ctx)
-}
-
-// SynchronizeCtx bounds a grace-period wait on the handle's domain with
-// ctx; see Domain.SynchronizeCtx.
-func (h *ClassicHandle) SynchronizeCtx(ctx context.Context) error {
-	d := h.d
-	if d == nil {
-		panic("rcu: ClassicHandle used after Unregister")
-	}
-	return d.SynchronizeCtx(ctx)
-}
-
-// SynchronizeCtx waits for all pre-existing read-side critical sections
-// like Synchronize, but returns early — with an error matching both
-// ErrGracePeriodTimeout and ctx.Err() — when ctx is done first. See
-// Domain.SynchronizeCtx for the exact semantics.
-func (d *EpochDomain) SynchronizeCtx(ctx context.Context) error {
-	return synchronizeCtx(ctx, d, &d.stats)
-}
-
-// SynchronizeCtx bounds a grace-period wait on the handle's domain with
-// ctx; see Domain.SynchronizeCtx.
-func (h *EpochHandle) SynchronizeCtx(ctx context.Context) error {
-	d := h.d
-	if d == nil {
-		panic("rcu: EpochHandle used after Unregister")
-	}
-	return d.SynchronizeCtx(ctx)
 }

@@ -1,121 +1,47 @@
 package rcu
 
 import (
-	"runtime"
-	"sync"
+	"context"
 	"sync/atomic"
-	"time"
 
-	"github.com/go-citrus/citrus/citrustrace"
 	"github.com/go-citrus/citrus/internal/schedpoint"
 )
-
-// cacheLinePad is the padding unit used to keep each reader's state word on
-// its own cache line. 128 bytes covers adjacent-line prefetchers on x86.
-const cacheLinePad = 128
-
-// spinsBeforeYield is how many times Synchronize re-reads a reader's state
-// before yielding the processor. Grace periods are usually short, so a few
-// busy reads avoid a scheduler round trip; past that, spinning only steals
-// cycles from the reader being waited on.
-const spinsBeforeYield = 64
-
-// yieldsBeforeSleep is how many Gosched rounds a waiter takes after the
-// spin budget before it starts sleeping. A reader that has not finished
-// after this many yields is almost certainly descheduled (or genuinely
-// long-running), and yielding forever against it burns a full core — the
-// wait-loop bug this bound fixes. Sleeping instead costs at most one
-// sleep quantum of added grace-period latency.
-const yieldsBeforeSleep = 128
-
-// Waiter sleeps escalate from minWaiterSleep, doubling per sleep, to
-// maxWaiterSleep. The cap bounds how stale a waiter's view of the world
-// can get (a completed grace period is noticed within one quantum);
-// raising it trades grace-period age for less wakeup churn — the
-// age/memory trade-off knob of the combining literature, set here to
-// favor promptness.
-const (
-	minWaiterSleep = 2 * time.Microsecond
-	maxWaiterSleep = 100 * time.Microsecond
-)
-
-// Grace-period sequence encoding (the kernel's rcu_seq idea): bit 0 is
-// "a grace period is in flight", and the value advances by gpSeqStride
-// per completed grace period. A caller that needs a grace period
-// snapshots the sequence it must reach (seqSnap) and is done once the
-// sequence passes it (seqDone) — no matter who drove it there.
-const (
-	gpSeqStateMask = 1
-	gpSeqStride    = 2
-)
-
-// seqSnap returns the sequence value at which a full grace period will
-// have elapsed for a caller observing s now (rcu_seq_snap): one full
-// stride past the current value, rounded past any in-flight grace
-// period — whose reader snapshot may predate this caller, so it cannot
-// be trusted to cover the caller's pre-existing readers.
-func seqSnap(s uint64) uint64 {
-	return (s + 2*gpSeqStateMask + 1) &^ uint64(gpSeqStateMask)
-}
-
-// seqDone reports whether the sequence has reached target (rcu_seq_done).
-func seqDone(s, target uint64) bool { return s >= target }
 
 // Domain is the scalable RCU flavor of Arbel & Attiya (PODC 2014, §5).
 //
 // Each registered reader owns one word packing a critical-section counter
 // (bits 1..63) and an in-critical-section flag (bit 0). ReadLock advances
 // the counter and sets the flag with a single atomic store; ReadUnlock
-// clears the flag. Synchronize snapshots every reader's word and waits, per
-// reader whose snapshot has the flag set, for the word to change — the
-// reader has then either left the pre-existing section or entered a later
-// one, and either way is no longer in a section that predates the call.
+// clears the flag. A grace period snapshots every reader's word and
+// waits, per reader whose snapshot has the flag set, for the word to
+// change — the reader has then either left the pre-existing section or
+// entered a later one, and either way is no longer in a section that
+// predates the call.
 //
 // Synchronize acquires no locks, so any number of goroutines may
 // synchronize concurrently (Figure 8 of the paper). On top of that,
-// concurrent synchronizers COMBINE their grace periods through a shared
-// sequence (gpSeq, Linux Tree RCU's gp_seq idea): each caller snapshots
-// the sequence it needs, one caller is elected leader and runs the
-// reader scan, and every other caller whose requirement is covered
-// piggybacks on the leader's grace period instead of scanning all
-// readers itself. N concurrent two-child deleters thus pay O(1) scans
-// between them instead of N, without serializing: losing the election
-// never blocks progress, it only means someone else is doing the work.
+// concurrent synchronizers COMBINE their grace periods through the
+// engine's shared sequence (Linux Tree RCU's gp_seq idea): each caller
+// snapshots the sequence it needs, one caller is elected leader and
+// runs the reader scan, and every other caller whose requirement is
+// covered piggybacks on the leader's grace period instead of scanning
+// all readers itself. N concurrent two-child deleters thus pay O(1)
+// scans between them instead of N, without serializing: losing the
+// election never blocks progress, it only means someone else is doing
+// the work.
 //
 // The zero value is ready to use.
 type Domain struct {
-	mu      sync.Mutex // guards registration changes (copy-on-write)
-	readers atomic.Pointer[[]*Handle]
-	nextID  atomic.Uint64 // reader handle ids, for trace attribution
+	engine[*Handle]
 
-	// gpSeq is the shared grace-period sequence: bit 0 set while a
-	// leader is scanning, value advancing by gpSeqStride per completed
-	// grace period. See seqSnap/seqDone.
-	gpSeq atomic.Uint64
-
-	// nocombine disables grace-period combining (every Synchronize
-	// scans for itself, the pre-combining behavior); for ablation
-	// benchmarks. snapEarly is the torture harness's negative-control
-	// mutant: targets are computed one stride early, deliberately
-	// breaking the combining protocol's covering obligation.
-	nocombine atomic.Bool
+	// snapEarly is the torture harness's negative-control mutant:
+	// targets are computed one stride early, deliberately breaking the
+	// combining protocol's covering obligation.
 	snapEarly atomic.Bool
 
-	// tracer, when set, receives one grace-period span per Synchronize
-	// with a per-reader wait breakdown. Off by default; with no tracer
-	// the synchronize path pays one atomic load and a predictable
-	// branch, and the read side is untouched either way.
-	tracer atomic.Pointer[citrustrace.SyncTracer]
-
-	// stall is the stall-detection configuration (see stall.go); leak
-	// the leaked-handle detection configuration (see leak.go). Both are
-	// off by default and cost the hot paths nothing while off.
-	stall stallControl
-	leak  leakControl
-
-	// stats accumulates grace-period accounting. Only Register and
-	// Synchronize write it; the read-side primitives never touch it.
-	stats syncStats
+	// leak is the leaked-handle detection configuration (see leak.go);
+	// off by default and free for the hot paths while off.
+	leak leakControl
 }
 
 // NewDomain returns a new, empty Domain.
@@ -133,20 +59,12 @@ type Handle struct {
 	state atomic.Uint64 // counter<<1 | flag
 	_     [cacheLinePad - 8]byte
 
-	d    *Domain
-	id   uint64
-	site string // registration call site; "" unless SetSiteCapture was on
+	readerBase
+	d *Domain
 }
 
-// ID reports the handle's domain-unique reader id, stable for the
-// handle's lifetime. Tracing uses it to attribute grace-period waits to
-// specific readers (citrustrace.EvReaderWait).
-func (h *Handle) ID() uint64 { return h.id }
-
-// Site reports the handle's registration call site, "" unless the
-// domain's SetSiteCapture (or SetLeakDetection) was enabled when the
-// handle was registered.
-func (h *Handle) Site() string { return h.site }
+// active reports whether the handle is inside a read-side critical section.
+func (h *Handle) active() bool { return h.state.Load()&1 != 0 }
 
 // Register adds a reader to the domain and returns its handle. With
 // SetLeakDetection enabled the returned Reader additionally carries a
@@ -161,21 +79,8 @@ func (d *Domain) Register() Reader {
 
 // register is the concrete-typed Register used inside the package.
 func (d *Domain) register() *Handle {
-	h := &Handle{d: d, id: d.nextID.Add(1)}
-	if d.stall.capture.Load() || d.leak.enabled.Load() {
-		h.site = registrationSite()
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.readers.Load()
-	var rs []*Handle
-	if old != nil {
-		rs = make([]*Handle, len(*old), len(*old)+1)
-		copy(rs, *old)
-	}
-	rs = append(rs, h)
-	d.readers.Store(&rs)
-	d.stats.noteReaders(len(rs))
+	h := &Handle{readerBase: d.enroll(d.leak.enabled.Load()), d: d}
+	d.add(h)
 	return h
 }
 
@@ -219,244 +124,63 @@ func (h *Handle) Synchronize() {
 	d.Synchronize()
 }
 
+// SynchronizeCtx bounds a grace-period wait on the handle's domain with
+// ctx; see Domain.SynchronizeCtx.
+func (h *Handle) SynchronizeCtx(ctx context.Context) error {
+	d := h.d
+	if d == nil {
+		panic("rcu: Handle used after Unregister")
+	}
+	return d.SynchronizeCtx(ctx)
+}
+
 // Unregister removes the handle from its domain. The handle must not be
 // inside a read-side critical section. Unregister is idempotent; any
 // other use of the handle afterwards panics with a descriptive message.
 func (h *Handle) Unregister() {
-	if h.state.Load()&1 != 0 {
+	if h.active() {
 		panic("rcu: Unregister inside a read-side critical section")
 	}
-	d := h.d
-	if d == nil {
-		return // already unregistered
+	if h.d != nil {
+		h.d.remove(h)
+		h.d = nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.readers.Load()
-	if old == nil {
-		return
-	}
-	rs := make([]*Handle, 0, len(*old))
-	for _, r := range *old {
-		if r != h {
-			rs = append(rs, r)
-		}
-	}
-	d.readers.Store(&rs)
-	h.d = nil
 }
 
 // Synchronize blocks until every read-side critical section that was in
 // progress when the call started has completed. It takes no locks, and
 // concurrent callers combine: one leads the reader scan, the rest wait
 // on the shared sequence (see the Domain doc comment).
-//
-// Soundness of sharing: a follower observing sequence q at entry is
-// released at seqSnap(q), i.e. only by a grace period whose leader won
-// its election CAS *after* the follower's load of q (the CAS is ordered
-// after q in the sequence's modification order — an earlier leader
-// would have made the load return an in-flight value that seqSnap
-// rounds past). The leader snapshots reader state after that CAS, so
-// every reader inside a critical section at the follower's call entry
-// is either still inside — snapshotted and waited for — or already
-// left; both satisfy the follower.
 func (d *Domain) Synchronize() {
-	start := time.Now()
-	var span *citrustrace.SyncSpan
-	if tr := d.tracer.Load(); tr != nil {
-		s := tr.SyncBegin()
-		span = &s
-	}
-	var cost syncCost
-	var led, shared bool
-	watch := d.stall.newStallWatch(start)
-	tok := d.stats.syncEnter(start)
-	defer func() {
-		d.stats.syncExit(tok)
-		watch.settle(&d.stats)
-		if span != nil {
-			span.End(cost.spins, cost.yields)
-		}
-		d.stats.record(start, cost, led, shared, !led && !shared)
-	}()
-	// Torture window: everything before the snapshot — readers entering
-	// now must not be waited for, readers already inside must be.
-	schedpoint.Hit(schedpoint.RCUSyncFlip)
-	if d.nocombine.Load() {
-		d.scanReaders(span, &cost, &watch)
-		led = true
-		return
-	}
-	target := seqSnap(d.gpSeq.Load())
-	if d.snapEarly.Load() {
-		target -= gpSeqStride // negative control: see SetSnapEarlyMutant
-	}
-	// Torture window: the sequence target is fixed but the election has
-	// not happened — the window in which a stale target or a mis-ordered
-	// election would let a shared grace period miss this call's readers.
-	schedpoint.Hit(schedpoint.RCUGPElect)
-	for {
-		cur := d.gpSeq.Load()
-		if seqDone(cur, target) {
-			return
-		}
-		if cur&gpSeqStateMask == 0 {
-			// Idle: try to lead the next grace period. Losing the race
-			// just means reloading — the winner is doing our work.
-			if !d.gpSeq.CompareAndSwap(cur, cur+1) {
-				continue
-			}
-			led = true
-			scanStart := time.Now()
-			waited := d.scanReaders(span, &cost, &watch)
-			d.gpSeq.Add(gpSeqStride - 1) // publish completion at cur+2
-			if span != nil {
-				span.GPLead(scanStart, cur+gpSeqStride, waited)
-			}
-			continue
-		}
-		// A grace period is in flight: follow it. The in-flight scan (or
-		// a successor we may still need to lead) will release us.
-		shared = true
-		followStart := time.Now()
-		d.followSeq(cur, &cost, span, &watch)
-		d.stats.followWait(time.Since(followStart))
-		if span != nil {
-			span.GPShare(followStart, target, cur)
-		}
-	}
+	c := d.begin("scalable")
+	defer c.end()
+	d.combine(&c, d.snapEarly.Load(), func() int { return d.waitReaders(&c) })
 }
 
-// scanReaders runs one snapshot-and-wait pass over all registered
-// readers — a full grace period with respect to the instant it is
-// called — and reports how many readers it actually waited on.
-func (d *Domain) scanReaders(span *citrustrace.SyncSpan, cost *syncCost, watch *stallWatch) int {
-	rsp := d.readers.Load()
-	if rsp == nil {
-		return 0
-	}
-	readers := *rsp
-	// Snapshot first, then wait per reader. A reader whose word changed
-	// after the snapshot either left its section (flag cleared) or entered
-	// a strictly later one (counter advanced); in both cases it is not in
-	// a section that predates this call.
-	snap := make([]uint64, len(readers))
-	active := false
-	for i, r := range readers {
-		snap[i] = r.state.Load()
-		active = active || snap[i]&1 != 0
-	}
-	if !active {
-		return 0
-	}
-	waited := 0
-	for i, r := range readers {
-		if snap[i]&1 == 0 {
-			continue
-		}
-		// Torture window: mid-scan, earlier readers' snapshots are stale
-		// while this one is still being waited out.
-		schedpoint.Hit(schedpoint.RCUSyncScan)
-		// r was inside a pre-existing read-side critical section: this
-		// grace period is attributable to it.
-		waited++
-		var waitStart time.Time
-		if span != nil {
-			waitStart = time.Now()
-		}
-		var spins int64
-		sleep := minWaiterSleep
-		for attempt := int64(0); r.state.Load() == snap[i]; attempt++ {
-			switch {
-			case attempt < spinsBeforeYield:
-				spins++
-			case attempt < spinsBeforeYield+yieldsBeforeSleep:
-				runtime.Gosched()
-				cost.yields++
-				cost.rechecks++
-			default:
-				// The reader is descheduled or long-running; yielding
-				// forever against it burns this core. Sleep instead.
-				time.Sleep(sleep)
-				if sleep < maxWaiterSleep {
-					sleep *= 2
-				}
-				cost.sleeps++
-				cost.rechecks++
-				if watch.due() {
-					// A grace-period stall: report the readers this scan
-					// is still blocked on (this one and any later reader
-					// whose snapshotted critical section persists).
-					watch.fire(&d.stall, &d.stats, span, "scalable",
-						stalledInScan(readers, snap, i))
-				}
-			}
-		}
-		cost.spins += spins
-		if span != nil {
-			span.ReaderWait(r.id, waitStart, time.Since(waitStart), spins)
-		}
-	}
-	return waited
-}
+// SynchronizeCtx waits for all pre-existing read-side critical sections
+// like Synchronize, but returns early — with an error matching both
+// ErrGracePeriodTimeout and ctx.Err() — when ctx is done first. The
+// abandoned grace period continues in a background goroutine (counted
+// in Stats.SyncAbandoned) and still provides its full guarantee to any
+// concurrent caller combining with it; the goroutine exits when the
+// grace period completes. A context without a deadline or cancellation
+// (ctx.Done() == nil) degrades to a plain Synchronize.
+func (d *Domain) SynchronizeCtx(ctx context.Context) error { return d.synchronizeCtx(ctx, d) }
 
-// stalledInScan collects, from a reader scan blocked at index i, every
-// reader still inside the critical section its snapshot caught: exactly
-// the set the grace period cannot complete without.
-func stalledInScan(readers []*Handle, snap []uint64, i int) []StalledReader {
-	var out []StalledReader
-	for j := i; j < len(readers); j++ {
-		if snap[j]&1 != 0 && readers[j].state.Load() == snap[j] {
-			out = append(out, StalledReader{ID: readers[j].id, Site: readers[j].site})
+// waitReaders is Domain's grace period: snapshot every reader's word,
+// then wait out each reader the snapshot caught inside a critical
+// section until its word changes — it has then either left that section
+// (flag cleared) or entered a strictly later one (counter advanced).
+func (d *Domain) waitReaders(c *syncCall) int {
+	var caught []*Handle
+	var words []uint64
+	for _, r := range d.registered() {
+		if w := r.state.Load(); w&1 != 0 {
+			caught = append(caught, r)
+			words = append(words, w)
 		}
 	}
-	return out
-}
-
-// followSeq waits, with the same spin → yield → sleep escalation as the
-// reader scan, for the grace-period sequence to move past cur — i.e.
-// for the in-flight grace period observed at cur to complete.
-func (d *Domain) followSeq(cur uint64, cost *syncCost, span *citrustrace.SyncSpan, watch *stallWatch) {
-	sleep := minWaiterSleep
-	for attempt := int64(0); d.gpSeq.Load() == cur; attempt++ {
-		switch {
-		case attempt < spinsBeforeYield:
-			cost.spins++
-		case attempt < spinsBeforeYield+yieldsBeforeSleep:
-			runtime.Gosched()
-			cost.yields++
-			cost.rechecks++
-		default:
-			time.Sleep(sleep)
-			if sleep < maxWaiterSleep {
-				sleep *= 2
-			}
-			cost.sleeps++
-			cost.rechecks++
-			if watch.due() {
-				// A follower cannot see the leader's snapshot, so the
-				// report names every reader currently inside a critical
-				// section — a superset of the true blockers.
-				watch.fire(&d.stall, &d.stats, span, "scalable", d.activeReaders())
-			}
-		}
-	}
-}
-
-// activeReaders lists the readers currently inside a read-side critical
-// section, for follower-side stall reports.
-func (d *Domain) activeReaders() []StalledReader {
-	rsp := d.readers.Load()
-	if rsp == nil {
-		return nil
-	}
-	var out []StalledReader
-	for _, r := range *rsp {
-		if r.state.Load()&1 != 0 {
-			out = append(out, StalledReader{ID: r.id, Site: r.site})
-		}
-	}
-	return out
+	return waitOut(c, caught, func(i int) bool { return caught[i].state.Load() == words[i] })
 }
 
 // SetCombining toggles grace-period combining (on by default, including
@@ -478,58 +202,3 @@ func (d *Domain) SetCombining(on bool) { d.nocombine.Store(!on) }
 // must catch it (see docs/VERIFICATION.md). Never enable it anywhere
 // else.
 func (d *Domain) SetSnapEarlyMutant(on bool) { d.snapEarly.Store(on) }
-
-// SetTracer attaches tr's grace-period event recording to the domain
-// (see citrustrace.SyncTracer); nil detaches. Safe to toggle at any
-// time, concurrently with Synchronize calls.
-func (d *Domain) SetTracer(tr *citrustrace.SyncTracer) { d.tracer.Store(tr) }
-
-// SetStallTimeout arms the grace-period stall detector: a Synchronize
-// call still waiting after timeout fires a StallReport (see
-// SetStallHandler), bumps Stats.Stalls, and raises Stats.ActiveStalls
-// until it completes. Repeated reports for one call double their
-// interval. timeout <= 0 disables detection (the default). Safe to
-// change at any time; in-flight calls keep the setting they started
-// with. Detection only reads time in the slow (sleeping) phase of the
-// wait loop, so healthy grace periods pay nothing.
-func (d *Domain) SetStallTimeout(timeout time.Duration) {
-	if timeout < 0 {
-		timeout = 0
-	}
-	d.stall.timeout.Store(int64(timeout))
-}
-
-// SetStallHandler installs fn as the stall-report sink (nil removes
-// it). fn runs synchronously on the stalled Synchronize caller's
-// goroutine with no domain locks held; it must be safe for concurrent
-// use and should not block. With no handler installed stalls are still
-// counted in Stats and traced via citrustrace.EvStall.
-func (d *Domain) SetStallHandler(fn func(StallReport)) {
-	if fn == nil {
-		d.stall.handler.Store(nil)
-		return
-	}
-	d.stall.handler.Store(&fn)
-}
-
-// SetSiteCapture toggles registration-site capture: while on, Register
-// records the caller's "file:line (function)" on the handle, and stall
-// reports include it next to each blocking reader id. Costs one
-// runtime.Callers walk per Register; the read-side primitives are
-// untouched. Handles registered while capture was off report "".
-func (d *Domain) SetSiteCapture(on bool) { d.stall.capture.Store(on) }
-
-// Stats reports the domain's cumulative grace-period accounting. It may
-// be called at any time from any goroutine; all counters are monotonic
-// except the ActiveStalls gauge.
-func (d *Domain) Stats() Stats { return d.stats.snapshot(d.Readers()) }
-
-// Readers reports the number of currently registered readers. Intended for
-// tests and instrumentation.
-func (d *Domain) Readers() int {
-	rsp := d.readers.Load()
-	if rsp == nil {
-		return 0
-	}
-	return len(*rsp)
-}

@@ -1,12 +1,9 @@
 package rcu
 
 import (
-	"runtime"
-	"sync"
+	"context"
 	"sync/atomic"
-	"time"
 
-	"github.com/go-citrus/citrus/citrustrace"
 	"github.com/go-citrus/citrus/internal/schedpoint"
 )
 
@@ -40,45 +37,24 @@ import (
 // measured by cmd/citrusbench -figure am.
 //
 // Synchronize takes no locks; concurrent callers combine their grace
-// periods through the same shared-sequence protocol as Domain (see the
-// Domain doc comment): one caller is elected leader and advances the
-// epoch, the rest piggyback.
+// periods through the engine's shared sequence exactly as Domain's do:
+// one caller is elected leader and advances the epoch, the rest
+// piggyback.
 //
 // The zero value is ready to use.
 type EpochDomain struct {
-	mu      sync.Mutex // guards registration changes (copy-on-write)
-	readers atomic.Pointer[[]*EpochHandle]
-	nextID  atomic.Uint64 // reader handle ids, for trace attribution
+	engine[*EpochHandle]
 
 	// epoch is the global epoch counter. It starts at 1 so a reader slot
 	// of 0 unambiguously means "quiescent", and only grace-period leaders
 	// advance it.
 	epoch atomic.Uint64
 
-	// gpSeq is the shared grace-period sequence for combining, identical
-	// in protocol to Domain.gpSeq: bit 0 set while a leader is advancing
-	// epochs, value advancing by gpSeqStride per completed grace period.
-	gpSeq atomic.Uint64
-
-	// nocombine disables grace-period combining (every Synchronize
-	// advances for itself); for ablation benchmarks. advEarly is the
-	// torture harness's negative-control mutant: the per-advance reader
-	// wait trails the epoch by a full grace period, so readers pinned at
-	// the epoch current when Synchronize was called are never waited for.
-	nocombine atomic.Bool
-	advEarly  atomic.Bool
-
-	// tracer, when set, receives one grace-period span per Synchronize
-	// with a per-reader wait breakdown (see Domain.tracer).
-	tracer atomic.Pointer[citrustrace.SyncTracer]
-
-	// stall is the stall-detection configuration (see stall.go), shared
-	// with the other flavors; off by default.
-	stall stallControl
-
-	// stats accumulates grace-period accounting. Only Register and
-	// Synchronize write it; the read-side primitives never touch it.
-	stats syncStats
+	// advEarly is the torture harness's negative-control mutant: the
+	// per-advance reader wait trails the epoch by a full grace period, so
+	// readers pinned at the epoch current when Synchronize was called are
+	// never waited for.
+	advEarly atomic.Bool
 }
 
 // NewEpochDomain returns a new, empty EpochDomain.
@@ -101,20 +77,14 @@ type EpochHandle struct {
 	slot atomic.Uint64
 	_    [cacheLinePad - 8]byte
 
+	readerBase
 	d       *EpochDomain
-	id      uint64
-	site    string // registration call site; "" unless SetSiteCapture was on
-	nesting int    // owner-goroutine-only section nesting depth
+	nesting int // owner-goroutine-only section nesting depth
 }
 
-// ID reports the handle's domain-unique reader id, stable for the
-// handle's lifetime. Tracing uses it to attribute grace-period waits to
-// specific readers (citrustrace.EvReaderWait).
-func (h *EpochHandle) ID() uint64 { return h.id }
-
-// Site reports the handle's registration call site, "" unless the
-// domain's SetSiteCapture was enabled when the handle was registered.
-func (h *EpochHandle) Site() string { return h.site }
+// active reports whether the handle is pinned inside a read-side
+// critical section.
+func (h *EpochHandle) active() bool { return h.slot.Load() != 0 }
 
 // Register adds a reader to the domain and returns its handle.
 func (d *EpochDomain) Register() Reader { return d.register() }
@@ -123,21 +93,8 @@ func (d *EpochDomain) register() *EpochHandle {
 	if d.epoch.Load() == 0 {
 		d.epoch.CompareAndSwap(0, 1) // zero-value domain: establish epoch 1
 	}
-	h := &EpochHandle{d: d, id: d.nextID.Add(1)}
-	if d.stall.capture.Load() {
-		h.site = registrationSite()
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.readers.Load()
-	var rs []*EpochHandle
-	if old != nil {
-		rs = make([]*EpochHandle, len(*old), len(*old)+1)
-		copy(rs, *old)
-	}
-	rs = append(rs, h)
-	d.readers.Store(&rs)
-	d.stats.noteReaders(len(rs))
+	h := &EpochHandle{readerBase: d.enroll(false), d: d}
+	d.add(h)
 	return h
 }
 
@@ -185,6 +142,16 @@ func (h *EpochHandle) Synchronize() {
 	d.Synchronize()
 }
 
+// SynchronizeCtx bounds a grace-period wait on the handle's domain with
+// ctx; see Domain.SynchronizeCtx.
+func (h *EpochHandle) SynchronizeCtx(ctx context.Context) error {
+	d := h.d
+	if d == nil {
+		panic("rcu: EpochHandle used after Unregister")
+	}
+	return d.SynchronizeCtx(ctx)
+}
+
 // Unregister removes the handle from its domain. The handle must not be
 // inside a read-side critical section. Unregister is idempotent; any
 // other use of the handle afterwards panics with a descriptive message.
@@ -192,24 +159,10 @@ func (h *EpochHandle) Unregister() {
 	if h.nesting != 0 {
 		panic("rcu: Unregister inside a read-side critical section")
 	}
-	d := h.d
-	if d == nil {
-		return // already unregistered
+	if h.d != nil {
+		h.d.remove(h)
+		h.d = nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.readers.Load()
-	if old == nil {
-		return
-	}
-	rs := make([]*EpochHandle, 0, len(*old))
-	for _, r := range *old {
-		if r != h {
-			rs = append(rs, r)
-		}
-	}
-	d.readers.Store(&rs)
-	h.d = nil
 }
 
 // Synchronize blocks until every read-side critical section that was in
@@ -221,77 +174,25 @@ func (h *EpochHandle) Unregister() {
 // the follower's sequence load, and that leader's epoch advances cover
 // every reader pinned at the follower's call entry.
 func (d *EpochDomain) Synchronize() {
-	start := time.Now()
-	var span *citrustrace.SyncSpan
-	if tr := d.tracer.Load(); tr != nil {
-		s := tr.SyncBegin()
-		span = &s
-	}
-	var cost syncCost
-	var led, shared bool
-	watch := d.stall.newStallWatch(start)
-	tok := d.stats.syncEnter(start)
-	defer func() {
-		d.stats.syncExit(tok)
-		watch.settle(&d.stats)
-		if span != nil {
-			span.End(cost.spins, cost.yields)
-		}
-		d.stats.record(start, cost, led, shared, !led && !shared)
-	}()
-	// Torture window: everything before the first epoch advance —
-	// readers entering now must not be waited for, readers already
-	// pinned must be.
-	schedpoint.Hit(schedpoint.RCUSyncFlip)
-	if d.nocombine.Load() {
-		d.advanceEpochs(span, &cost, &watch)
-		led = true
-		return
-	}
-	target := seqSnap(d.gpSeq.Load())
-	// Torture window: the sequence target is fixed but the election has
-	// not happened (see Domain.Synchronize).
-	schedpoint.Hit(schedpoint.RCUGPElect)
-	for {
-		cur := d.gpSeq.Load()
-		if seqDone(cur, target) {
-			return
-		}
-		if cur&gpSeqStateMask == 0 {
-			// Idle: try to lead the next grace period. Losing the race
-			// just means reloading — the winner is doing our work.
-			if !d.gpSeq.CompareAndSwap(cur, cur+1) {
-				continue
-			}
-			led = true
-			scanStart := time.Now()
-			waited := d.advanceEpochs(span, &cost, &watch)
-			d.gpSeq.Add(gpSeqStride - 1) // publish completion at cur+2
-			if span != nil {
-				span.GPLead(scanStart, cur+gpSeqStride, waited)
-			}
-			continue
-		}
-		// A grace period is in flight: follow it.
-		shared = true
-		followStart := time.Now()
-		d.followSeq(cur, &cost, span, &watch)
-		d.stats.followWait(time.Since(followStart))
-		if span != nil {
-			span.GPShare(followStart, target, cur)
-		}
-	}
+	c := d.begin("ebr")
+	defer c.end()
+	d.combine(&c, false, func() int { return d.waitReaders(&c) })
 }
 
-// advanceEpochs runs one full grace period with respect to the instant
-// it is called: two epoch advances (the three-epoch scheme), each
-// waiting for every reader to be quiescent or pinned past the epoch
-// current at grace-period entry. The covering obligation is fixed at
-// entry — only readers pinned at or before the entry epoch predate the
-// call — so both waits share the entry threshold; a reader entering
-// mid-grace-period pins the already-advanced epoch and is never waited
-// on. It reports how many readers it actually waited on.
-func (d *EpochDomain) advanceEpochs(span *citrustrace.SyncSpan, cost *syncCost, watch *stallWatch) int {
+// SynchronizeCtx waits for all pre-existing read-side critical sections
+// like Synchronize, but returns early — with an error matching both
+// ErrGracePeriodTimeout and ctx.Err() — when ctx is done first. See
+// Domain.SynchronizeCtx for the exact semantics.
+func (d *EpochDomain) SynchronizeCtx(ctx context.Context) error { return d.synchronizeCtx(ctx, d) }
+
+// waitReaders is EpochDomain's grace period: two epoch advances (the
+// three-epoch scheme), each waiting for every reader to be quiescent or
+// pinned past the epoch current at grace-period entry. The covering
+// obligation is fixed at entry — only readers pinned at or before the
+// entry epoch predate the call — so both waits share the entry
+// threshold; a reader entering mid-grace-period pins the
+// already-advanced epoch and is never waited on.
+func (d *EpochDomain) waitReaders(c *syncCall) int {
 	// threshold is the pin value a reader must have reached to be
 	// ignored: one past the entry epoch. The advEarly mutant
 	// (SetAdvanceEarlyMutant) lowers it to the entry epoch itself, so
@@ -302,131 +203,16 @@ func (d *EpochDomain) advanceEpochs(span *citrustrace.SyncSpan, cost *syncCost, 
 	if d.advEarly.Load() {
 		threshold--
 	}
-	waited := d.advanceEpoch(threshold, span, cost, watch)
-	waited += d.advanceEpoch(threshold, span, cost, watch)
-	return waited
-}
-
-// advanceEpoch bumps the global epoch once and waits every reader out
-// to the given pin threshold, with the shared spin → yield → sleep
-// escalation.
-func (d *EpochDomain) advanceEpoch(threshold uint64, span *citrustrace.SyncSpan, cost *syncCost, watch *stallWatch) int {
-	d.epoch.Add(1)
-	rsp := d.readers.Load()
-	if rsp == nil {
-		return 0
-	}
-	readers := *rsp
 	waited := 0
-	for i, r := range readers {
-		// Torture window: mid-scan, earlier readers have been cleared
-		// while this one is still being waited out.
-		schedpoint.Hit(schedpoint.RCUSyncScan)
-		var spins int64
-		var waitStart time.Time
-		counted := false
-		sleep := minWaiterSleep
-		for attempt := int64(0); ; attempt++ {
-			c := r.slot.Load()
-			if c == 0 || c >= threshold {
-				break
-			}
-			if !counted {
-				// First failed check: the reader is pinned inside a
-				// pre-existing critical section this advance must wait out.
-				counted = true
-				waited++
-				if span != nil {
-					waitStart = time.Now()
-				}
-			}
-			switch {
-			case attempt < spinsBeforeYield:
-				spins++
-			case attempt < spinsBeforeYield+yieldsBeforeSleep:
-				runtime.Gosched()
-				cost.yields++
-				cost.rechecks++
-			default:
-				// Descheduled or long-running reader: stop burning the
-				// core and sleep between re-checks (see Domain).
-				time.Sleep(sleep)
-				if sleep < maxWaiterSleep {
-					sleep *= 2
-				}
-				cost.sleeps++
-				cost.rechecks++
-				if watch.due() {
-					watch.fire(&d.stall, &d.stats, span, "ebr",
-						stalledEpoch(readers[i:], threshold))
-				}
-			}
-		}
-		cost.spins += spins
-		if span != nil && !waitStart.IsZero() {
-			span.ReaderWait(r.id, waitStart, time.Since(waitStart), spins)
-		}
+	for range 2 {
+		d.epoch.Add(1)
+		rs := d.registered()
+		waited += waitOut(c, rs, func(i int) bool {
+			pin := rs[i].slot.Load()
+			return pin != 0 && pin < threshold
+		})
 	}
 	return waited
-}
-
-// stalledEpoch collects, from the readers an epoch advance has not yet
-// cleared, those still pinned below the advance's threshold — the set
-// the grace period is blocked on.
-func stalledEpoch(readers []*EpochHandle, threshold uint64) []StalledReader {
-	var out []StalledReader
-	for _, r := range readers {
-		if c := r.slot.Load(); c != 0 && c < threshold {
-			out = append(out, StalledReader{ID: r.id, Site: r.site})
-		}
-	}
-	return out
-}
-
-// followSeq waits, with the same spin → yield → sleep escalation as the
-// epoch advance, for the grace-period sequence to move past cur — i.e.
-// for the in-flight grace period observed at cur to complete.
-func (d *EpochDomain) followSeq(cur uint64, cost *syncCost, span *citrustrace.SyncSpan, watch *stallWatch) {
-	sleep := minWaiterSleep
-	for attempt := int64(0); d.gpSeq.Load() == cur; attempt++ {
-		switch {
-		case attempt < spinsBeforeYield:
-			cost.spins++
-		case attempt < spinsBeforeYield+yieldsBeforeSleep:
-			runtime.Gosched()
-			cost.yields++
-			cost.rechecks++
-		default:
-			time.Sleep(sleep)
-			if sleep < maxWaiterSleep {
-				sleep *= 2
-			}
-			cost.sleeps++
-			cost.rechecks++
-			if watch.due() {
-				// A follower cannot see the leader's threshold, so the
-				// report names every reader currently pinned — a superset
-				// of the true blockers.
-				watch.fire(&d.stall, &d.stats, span, "ebr", d.activeReaders())
-			}
-		}
-	}
-}
-
-// activeReaders lists the readers currently pinned inside a read-side
-// critical section, for follower-side stall reports.
-func (d *EpochDomain) activeReaders() []StalledReader {
-	rsp := d.readers.Load()
-	if rsp == nil {
-		return nil
-	}
-	var out []StalledReader
-	for _, r := range *rsp {
-		if r.slot.Load() != 0 {
-			out = append(out, StalledReader{ID: r.id, Site: r.site})
-		}
-	}
-	return out
 }
 
 // Epoch reports the current global epoch. Intended for tests and
@@ -447,46 +233,3 @@ func (d *EpochDomain) SetCombining(on bool) { d.nocombine.Store(!on) }
 // the torture oracles must catch it (see docs/VERIFICATION.md). Never
 // enable it anywhere else.
 func (d *EpochDomain) SetAdvanceEarlyMutant(on bool) { d.advEarly.Store(on) }
-
-// SetTracer attaches tr's grace-period event recording to the domain
-// (see citrustrace.SyncTracer); nil detaches. Safe to toggle at any
-// time, concurrently with Synchronize calls.
-func (d *EpochDomain) SetTracer(tr *citrustrace.SyncTracer) { d.tracer.Store(tr) }
-
-// SetStallTimeout arms the grace-period stall detector; see
-// Domain.SetStallTimeout for the exact semantics.
-func (d *EpochDomain) SetStallTimeout(timeout time.Duration) {
-	if timeout < 0 {
-		timeout = 0
-	}
-	d.stall.timeout.Store(int64(timeout))
-}
-
-// SetStallHandler installs fn as the stall-report sink (nil removes
-// it); see Domain.SetStallHandler.
-func (d *EpochDomain) SetStallHandler(fn func(StallReport)) {
-	if fn == nil {
-		d.stall.handler.Store(nil)
-		return
-	}
-	d.stall.handler.Store(&fn)
-}
-
-// SetSiteCapture toggles registration-site capture for stall
-// attribution; see Domain.SetSiteCapture.
-func (d *EpochDomain) SetSiteCapture(on bool) { d.stall.capture.Store(on) }
-
-// Stats reports the domain's cumulative grace-period accounting. It may
-// be called at any time from any goroutine; all counters are monotonic
-// except the ActiveStalls gauge.
-func (d *EpochDomain) Stats() Stats { return d.stats.snapshot(d.Readers()) }
-
-// Readers reports the number of currently registered readers. Intended for
-// tests and instrumentation.
-func (d *EpochDomain) Readers() int {
-	rsp := d.readers.Load()
-	if rsp == nil {
-		return 0
-	}
-	return len(*rsp)
-}

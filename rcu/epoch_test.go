@@ -3,7 +3,6 @@ package rcu
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -95,34 +94,6 @@ func TestEpochLateReaderNotWaited(t *testing.T) {
 	late.slot.Store(d.Epoch() + 2)
 	d.Synchronize() // must ignore the late pin; hang = test timeout
 	late.slot.Store(0)
-}
-
-// TestEpochCombining mirrors the Domain combining accounting: with many
-// concurrent synchronizers, leads + shares + expedited covers every
-// call and at least one call shared a grace period.
-func TestEpochCombining(t *testing.T) {
-	d := NewEpochDomain()
-	const callers, rounds = 8, 25
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < rounds; j++ {
-				d.Synchronize()
-			}
-		}()
-	}
-	wg.Wait()
-	s := d.Stats()
-	total := int64(callers * rounds)
-	if s.Synchronizes != total {
-		t.Fatalf("Synchronizes = %d, want %d", s.Synchronizes, total)
-	}
-	if got := s.SyncLeads + s.SyncShares + s.SyncExpedited; got != total {
-		t.Fatalf("leads(%d) + shares(%d) + expedited(%d) = %d, want %d",
-			s.SyncLeads, s.SyncShares, s.SyncExpedited, got, total)
-	}
 }
 
 // TestEpochNoCombining: with combining off every call leads its own

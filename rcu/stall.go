@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"github.com/go-citrus/citrus/citrustrace"
 )
 
 // Stall detection — the user-space analog of the kernel's RCU CPU stall
@@ -45,9 +43,10 @@ type StallReport struct {
 
 	// Readers lists the readers the grace period is blocked on: those
 	// still inside a read-side critical section that predates the call.
-	// For a follower piggybacking on another caller's grace-period scan
-	// (Domain combining) the list is the currently active readers — a
-	// superset of the precise blockers, which only the leader knows.
+	// For a follower piggybacking on another caller's grace period
+	// (Domain and EpochDomain combining) the list is the currently active
+	// readers — a superset of the precise blockers, which only the leader
+	// knows.
 	Readers []StalledReader `json:"readers"`
 }
 
@@ -64,8 +63,9 @@ func (r StallReport) String() string {
 // A StalledReader identifies one reader a stalled grace period is
 // blocked on.
 type StalledReader struct {
-	// ID is the reader handle's domain-unique id (Handle.ID /
-	// ClassicHandle.ID), matching the reader ids in trace events.
+	// ID is the reader handle's domain-unique id (Handle.ID,
+	// ClassicHandle.ID, EpochHandle.ID), matching the reader ids in trace
+	// events.
 	ID uint64 `json:"id"`
 
 	// Site is the reader's registration call site, captured when the
@@ -105,8 +105,8 @@ var (
 	_ StallControl = (*EpochDomain)(nil)
 )
 
-// stallControl is the stall-detection configuration block embedded in
-// the domain flavors. All fields are hot-toggle safe.
+// stallControl is the stall-detection configuration block of the
+// grace-period engine. All fields are hot-toggle safe.
 type stallControl struct {
 	timeout atomic.Int64 // ns; 0 disables detection
 	handler atomic.Pointer[func(StallReport)]
@@ -116,59 +116,6 @@ type stallControl struct {
 // armed reports the configured threshold, 0 when detection is off.
 func (c *stallControl) armed() time.Duration {
 	return time.Duration(c.timeout.Load())
-}
-
-// stallWatch tracks one Synchronize call's progress toward (and past)
-// the stall threshold. It lives on the caller's stack; next holds the
-// elapsed time at which the next report fires and doubles after each
-// one.
-type stallWatch struct {
-	start time.Time
-	next  time.Duration // 0: detection disabled for this call
-	fired bool          // at least one report fired (ActiveStalls was raised)
-}
-
-// newStallWatch arms a watch for a Synchronize call that entered at
-// start. With detection disabled the watch is inert: due never fires.
-func (c *stallControl) newStallWatch(start time.Time) stallWatch {
-	return stallWatch{start: start, next: c.armed()}
-}
-
-// due reports whether the call has crossed its next report threshold;
-// callers invoke it only from the slow (sleeping) phase of a wait loop,
-// so the time read costs nothing on healthy grace periods.
-func (w *stallWatch) due() bool {
-	return w.next > 0 && time.Since(w.start) >= w.next
-}
-
-// fire emits one stall report through the domain's handler, stats and
-// tracer, then re-arms the watch with a doubled interval.
-func (w *stallWatch) fire(c *stallControl, s *syncStats, span *citrustrace.SyncSpan, flavor string, readers []StalledReader) {
-	waited := time.Since(w.start)
-	w.next *= 2
-	if !w.fired {
-		w.fired = true
-		s.activeStalls.Add(1)
-	}
-	s.stalls.Add(1)
-	if span != nil {
-		var first uint64
-		if len(readers) > 0 {
-			first = readers[0].ID
-		}
-		span.Stall(first, len(readers))
-	}
-	if h := c.handler.Load(); h != nil {
-		(*h)(StallReport{Flavor: flavor, Waited: waited, Readers: readers})
-	}
-}
-
-// settle lowers the ActiveStalls gauge if the watch ever fired; every
-// Synchronize that armed a watch calls it on the way out.
-func (w *stallWatch) settle(s *syncStats) {
-	if w.fired {
-		s.activeStalls.Add(-1)
-	}
 }
 
 // registrationSite captures the call site that registered a reader: the

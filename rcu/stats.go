@@ -36,16 +36,17 @@ type Stats struct {
 	SyncYields   int64 `json:"sync_yields"`
 	SyncSleeps   int64 `json:"sync_sleeps"`
 
-	// Grace-period combining accounting (Domain only; ClassicDomain
-	// reports every call as a lead, since each runs its own scan).
-	// SyncLeads counts calls that ran a reader scan themselves;
-	// SyncShares counts calls that piggybacked on a grace period led by
-	// another caller (a call that follows an in-flight grace period and
-	// then leads the next one counts in both); SyncExpedited counts
-	// calls satisfied without scanning or waiting because the needed
-	// sequence completed between the call's snapshot and its first
-	// check. Leads well below Synchronizes under concurrent updaters is
-	// combining working.
+	// How each call finished — an exact partition of Synchronizes, so
+	// SyncLeads + SyncShares + SyncExpedited == Synchronizes (a snapshot
+	// taken while calls are completing may catch one counter ahead of
+	// the other). SyncLeads counts calls released by a grace period they
+	// ran themselves: every ClassicDomain call, every call with combining
+	// off, and a call that followed an in-flight grace period and then
+	// led the next. SyncShares counts calls released by a grace period
+	// another caller led, after waiting on it. SyncExpedited counts calls
+	// whose target had already been reached when they looked, so they
+	// neither led nor waited. Leads well below Synchronizes under
+	// concurrent updaters is combining working.
 	SyncLeads     int64 `json:"sync_leads"`
 	SyncShares    int64 `json:"sync_shares"`
 	SyncExpedited int64 `json:"sync_expedited"`
@@ -90,12 +91,13 @@ type Stats struct {
 	// under grace-period combining: how long a Synchronize call blocked
 	// waiting for a grace period someone else was leading (one sample
 	// per episode, so a call that followed two grace periods records
-	// two). Always empty for ClassicDomain.
+	// two, and FollowerWait.Total() >= SyncShares). Always empty for
+	// ClassicDomain.
 	FollowerWait citrusstat.Snapshot `json:"follower_wait"`
 }
 
 // A StatsSource is a flavor that can report grace-period statistics.
-// Domain, ClassicDomain and InstrumentedFlavor implement it; consumers
+// Domain, ClassicDomain and EpochDomain implement it; consumers
 // (e.g. citrus.Tree.Stats) type-assert against it so flavors without
 // accounting keep working.
 type StatsSource interface {
@@ -106,7 +108,6 @@ var (
 	_ StatsSource = (*Domain)(nil)
 	_ StatsSource = (*ClassicDomain)(nil)
 	_ StatsSource = (*EpochDomain)(nil)
-	_ StatsSource = (*InstrumentedFlavor)(nil)
 )
 
 // Merge folds other into s: counters sum, wait histograms merge
@@ -146,7 +147,7 @@ func (s *Stats) Merge(other Stats) {
 	s.FollowerWait.Merge(other.FollowerWait)
 }
 
-// syncStats is the accounting block embedded in both domain flavors.
+// syncStats is the grace-period engine's accounting block.
 // Everything here is written on the update (Synchronize/Register) path
 // only: the read-side primitives never touch it, keeping ReadLock and
 // ReadUnlock at their two plain atomic operations.
@@ -156,12 +157,10 @@ type syncStats struct {
 	rechecks  atomic.Int64
 	yields    atomic.Int64
 	sleeps    atomic.Int64
-	leads     atomic.Int64
-	shares    atomic.Int64
-	expedited atomic.Int64
+	outcomes  [3]atomic.Int64 // indexed by syncOutcome
 	highWater atomic.Int64
 
-	// Stall/robustness accounting (see stall.go, ctx.go). activeStalls
+	// Stall/robustness accounting (see stall.go, engine.go). activeStalls
 	// is a gauge: raised once per Synchronize call that stalls, lowered
 	// when the call finally completes.
 	stalls       atomic.Int64
@@ -170,48 +169,55 @@ type syncStats struct {
 
 	// In-flight Synchronize registry, behind the grace-period-age gauge
 	// (Stats.ActiveSyncs / OldestSyncAgeNanos). A short mutex-guarded
-	// map: Synchronize is already a microseconds-scale operation (it
-	// waits out readers), so two uncontended lock acquisitions are
-	// noise, and the read side never touches it.
+	// slice with one entry per call now inside Synchronize: two
+	// uncontended lock acquisitions are noise next to a grace period,
+	// and the read side never touches it.
 	activeMu   sync.Mutex
-	active     map[uint64]time.Time // token → call entry time
+	active     []inflightSync
 	activeNext uint64
 
 	wait     citrusstat.Histogram
 	follower citrusstat.Histogram
 }
 
+// An inflightSync is one in-flight Synchronize call: its token and its
+// entry time.
+type inflightSync struct {
+	token uint64
+	start time.Time
+}
+
 // syncEnter registers one in-flight Synchronize call and returns the
-// token syncExit takes. Every Synchronize entry pairs it with a
-// deferred syncExit, so the registry always reflects exactly the calls
-// currently between entry and return.
+// token syncExit takes (see syncCall's begin and end).
 func (s *syncStats) syncEnter(start time.Time) uint64 {
 	s.activeMu.Lock()
 	defer s.activeMu.Unlock()
-	if s.active == nil {
-		s.active = make(map[uint64]time.Time)
-	}
 	s.activeNext++
-	tok := s.activeNext
-	s.active[tok] = start
-	return tok
+	s.active = append(s.active, inflightSync{token: s.activeNext, start: start})
+	return s.activeNext
 }
 
 // syncExit removes one in-flight call from the registry.
-func (s *syncStats) syncExit(tok uint64) {
+func (s *syncStats) syncExit(token uint64) {
 	s.activeMu.Lock()
-	delete(s.active, tok)
-	s.activeMu.Unlock()
+	defer s.activeMu.Unlock()
+	for i, a := range s.active {
+		if a.token == token {
+			last := len(s.active) - 1
+			s.active[i] = s.active[last]
+			s.active = s.active[:last]
+			return
+		}
+	}
 }
 
 // syncAges reports the in-flight gauge pair: how many Synchronize calls
-// are running and the age of the oldest. The linear scan is fine — the
-// map holds one entry per goroutine currently inside Synchronize.
+// are running and the age of the oldest.
 func (s *syncStats) syncAges(now time.Time) (active int64, oldest time.Duration) {
 	s.activeMu.Lock()
 	defer s.activeMu.Unlock()
-	for _, start := range s.active {
-		if age := now.Sub(start); age > oldest {
+	for _, a := range s.active {
+		if age := now.Sub(a.start); age > oldest {
 			oldest = age
 		}
 	}
@@ -239,9 +245,8 @@ func (s *syncStats) noteReaders(n int) {
 	}
 }
 
-// record accounts one completed Synchronize. led/shared/expedited
-// classify how the call's grace periods were obtained (see Stats).
-func (s *syncStats) record(start time.Time, c syncCost, led, shared, expedited bool) {
+// record accounts one completed Synchronize under how it finished.
+func (s *syncStats) record(start time.Time, c syncCost, o syncOutcome) {
 	s.syncs.Add(1)
 	if c.spins != 0 {
 		s.spins.Add(c.spins)
@@ -255,15 +260,7 @@ func (s *syncStats) record(start time.Time, c syncCost, led, shared, expedited b
 	if c.sleeps != 0 {
 		s.sleeps.Add(c.sleeps)
 	}
-	if led {
-		s.leads.Add(1)
-	}
-	if shared {
-		s.shares.Add(1)
-	}
-	if expedited {
-		s.expedited.Add(1)
-	}
+	s.outcomes[o].Add(1)
 	s.wait.Record(time.Since(start))
 }
 
@@ -281,9 +278,9 @@ func (s *syncStats) snapshot(readers int) Stats {
 		SyncRechecks:       s.rechecks.Load(),
 		SyncYields:         s.yields.Load(),
 		SyncSleeps:         s.sleeps.Load(),
-		SyncLeads:          s.leads.Load(),
-		SyncShares:         s.shares.Load(),
-		SyncExpedited:      s.expedited.Load(),
+		SyncLeads:          s.outcomes[syncLed].Load(),
+		SyncShares:         s.outcomes[syncShared].Load(),
+		SyncExpedited:      s.outcomes[syncExpedited].Load(),
 		Stalls:             s.stalls.Load(),
 		ActiveStalls:       s.activeStalls.Load(),
 		SyncAbandoned:      s.abandoned.Load(),

@@ -3,7 +3,7 @@ package rcu
 import "github.com/go-citrus/citrus/citrustrace"
 
 // Traceable is a flavor that can attach a grace-period event tracer.
-// Domain and ClassicDomain implement it; consumers (e.g.
+// Domain, ClassicDomain and EpochDomain implement it; consumers (e.g.
 // citrus.Tree.EnableTracing) type-assert against it so flavors without
 // tracing keep working unchanged.
 //

@@ -8,8 +8,8 @@ import (
 	"github.com/go-citrus/citrus/citrustrace"
 )
 
-// testDomain abstracts the two traceable flavors for the shared
-// attribution test.
+// testDomain abstracts the traceable flavors for the shared attribution
+// test.
 type testDomain interface {
 	Flavor
 	Traceable
@@ -90,6 +90,10 @@ func TestClassicDomainTraceAttributesReaderWaits(t *testing.T) {
 	checkReaderAttribution(t, NewClassicDomain())
 }
 
+func TestEpochDomainTraceAttributesReaderWaits(t *testing.T) {
+	checkReaderAttribution(t, NewEpochDomain())
+}
+
 // TestTracerToggleUnderLoad flips the tracer on and off while
 // synchronizers and readers run; under -race this pins the toggle
 // protocol (atomic pointer, in-flight grace periods keep their span).
@@ -100,6 +104,7 @@ func TestTracerToggleUnderLoad(t *testing.T) {
 	}{
 		{"Domain", NewDomain()},
 		{"ClassicDomain", NewClassicDomain()},
+		{"EpochDomain", NewEpochDomain()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.d
