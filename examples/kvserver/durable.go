@@ -153,7 +153,10 @@ func newDurableStore(inner store, cfg kvConfig) (*durableStore, error) {
 		donec:    make(chan struct{}),
 	}
 
-	// Phase 1: the snapshot base image.
+	// Phase 1: the snapshot base image. Load verifies the whole file
+	// before the first insert and hands the pairs over in level order,
+	// so these plain inserts build a log-depth tree, or log-depth
+	// shards, out of the scan's ascending key stream.
 	h := inner.NewHandle()
 	snapLSN, snapKeys, err := snapshot.Load(cfg.walDir, func(k int64, v string) error {
 		if !h.Insert(k, v) {

@@ -3,9 +3,11 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"math/bits"
 	"net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -137,6 +139,59 @@ func TestSnapshotTruncatesWAL(t *testing.T) {
 	if n2 := s2.store.Len(); n2 != n {
 		t.Fatalf("recovered %d keys, want %d", n2, n)
 	}
+	// The snapshot's ascending keys load as a balanced tree; each
+	// replayed record can add at most one level on top.
+	height := s2.store.(*durableStore).store.(*treeStore).tree.Height()
+	if bound := bits.Len64(uint64(rec.SnapshotKeys)) + int(rec.RecordsReplayed); height > bound {
+		t.Fatalf("recovered tree has height %d, want ≤ ⌈log2(%d+1)⌉ + %d = %d",
+			height, rec.SnapshotKeys, rec.RecordsReplayed, bound)
+	}
+}
+
+// TestFailedPublishKeepsWAL makes every snapshot fail at Publish (a
+// directory squats on the MANIFEST's temp name, so creating it fails).
+// The snapshotter must count the failure and leave the WAL history
+// whole: a reopen finds no snapshot and replays every record.
+func TestFailedPublishKeepsWAL(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "MANIFEST.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s := durableServer(t, dir, func(c *kvConfig) { c.snapEvery = 100 })
+	ds := s.store.(*durableStore)
+	h := s.store.NewHandle()
+	const n = 250
+	for k := 0; k < n; k++ {
+		if got, _ := s.exec(h, fmt.Sprintf("SET %d v%d", k, k)); got != "OK" {
+			t.Fatalf("SET %d: %q", k, got)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		snaps, errs, _ := ds.SnapshotObs()
+		if snaps > 0 {
+			t.Fatalf("a snapshot published through a blocked manifest (%d published)", snaps)
+		}
+		if errs > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("snapshotter never reported the failed publish")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	h.Close()
+	s.store.Close()
+
+	s2 := durableServer(t, dir, nil)
+	defer s2.store.Close()
+	rec := s2.store.(*durableStore).RecoverySummary()
+	if rec.SnapshotLSN != 0 || rec.RecordsReplayed != n {
+		t.Fatalf("reopen after failed publishes: %+v, want no snapshot and all %d records replayed", rec, n)
+	}
+	if n2 := s2.store.Len(); n2 != n {
+		t.Fatalf("recovered %d keys, want %d", n2, n)
+	}
 }
 
 // TestDurableConcurrentWriters checks the stripe-lock invariant end to
@@ -189,6 +244,43 @@ func TestDurableConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestSIGTERMRightAfterReady sends SIGTERM the moment runNotify reports
+// its listeners ready. The handler must already be installed by then,
+// so the server drains and returns nil instead of losing the signal.
+func TestSIGTERMRightAfterReady(t *testing.T) {
+	// Keep the test binary alive if the signal beats the server's
+	// handler: this test then fails instead of the process dying.
+	sink := make(chan os.Signal, 1)
+	signal.Notify(sink, syscall.SIGTERM)
+	defer signal.Stop(sink)
+
+	cfg := defaultKVConfig()
+	cfg.demo = false
+	ready := make(chan runInfo, 1)
+	done := make(chan error, 1)
+	go func() { done <- runNotify("127.0.0.1:0", "", true, false, cfg, ready) }()
+	select {
+	case <-ready:
+	case err := <-done:
+		t.Fatalf("runNotify returned before ready: %v", err)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("runNotify returned %v after SIGTERM", err)
+		}
+	case <-time.After(2 * time.Second):
+		// The signal was lost. Send another so the server does not
+		// outlive the test.
+		syscall.Kill(os.Getpid(), syscall.SIGTERM) //nolint:errcheck // best-effort cleanup of a failed run
+		<-done
+		t.Fatal("runNotify still serving 2s after a SIGTERM sent right after ready")
+	}
+}
+
 // TestDrainUnderLoadFlushesWAL pins the SIGTERM drain-ordering fix:
 // writers hammer the TCP face when SIGTERM lands with a short drain
 // budget, so the drain times out with connections open. The fixed path
@@ -197,8 +289,9 @@ func TestDurableConcurrentWriters(t *testing.T) {
 // live handlers against store close) and every acknowledged write must
 // be recoverable from the WAL directory.
 func TestDrainUnderLoadFlushesWAL(t *testing.T) {
-	// Keep the test process alive across the SIGTERM we send ourselves:
-	// runNotify only registers its handler once keepServing begins.
+	// Keep the test binary alive if the SIGTERM we send ourselves ever
+	// beats runNotify's handler: this test then fails instead of the
+	// process dying (TestSIGTERMRightAfterReady pins the handler order).
 	sink := make(chan os.Signal, 1)
 	signal.Notify(sink, syscall.SIGTERM)
 	defer signal.Stop(sink)

@@ -330,6 +330,17 @@ func runNotify(addr, httpAddr string, keepServing, traceOn bool, cfg kvConfig, r
 		log.Printf("kvserver listening on %s", ln.Addr())
 	}
 
+	// Install the SIGTERM handler before either face can answer: a
+	// client that got a reply may stop the server at once, and a
+	// signal that lands before Notify kills the process instead of
+	// draining it.
+	var sigc chan os.Signal
+	if keepServing {
+		sigc = make(chan os.Signal, 1)
+		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sigc)
+	}
+
 	boundHTTP := ""
 	if httpAddr != "" {
 		hln, err := net.Listen("tcp", httpAddr)
@@ -394,8 +405,6 @@ func runNotify(addr, httpAddr string, keepServing, traceOn bool, cfg kvConfig, r
 
 	if keepServing {
 		log.Printf("serving until interrupted (try: printf 'SET 1 hello\\nGET 1\\nQUIT\\n' | nc %s)", addr)
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 		sig := <-sigc
 		signal.Stop(sigc)
 		log.Printf("%v: draining (no new connections, up to %v for open ones)", sig, cfg.drainTimeout)

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -15,6 +16,10 @@ import (
 //	offset 8  u64  LSN
 //	offset 16 ...  payload
 const frameHeaderSize = 16
+
+// readBufferSize is the buffer recovery and replay read segments
+// through: one read syscall per 64 KiB instead of two per record.
+const readBufferSize = 64 << 10
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -55,18 +60,23 @@ func (e *frameError) Error() string {
 // exactly the expected next LSN, and the CRC must match. Any mismatch
 // stops the scan — on the last segment of a log that is a torn tail to
 // truncate; anywhere else it is corruption.
+//
+// The file is read through a buffer, so validSize is summed from the
+// sizes of the frames accepted, never taken from the file position,
+// which runs ahead of them.
 func readRecords(path string, first LSN, fn func(lsn LSN, payload []byte) error) (records int64, validSize int64, ferr *frameError, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, nil, err
 	}
 	defer f.Close()
+	r := bufio.NewReaderSize(f, readBufferSize)
 
 	var hdr [frameHeaderSize]byte
 	var payload []byte
 	expect := first
 	for {
-		n, rerr := io.ReadFull(f, hdr[:])
+		n, rerr := io.ReadFull(r, hdr[:])
 		if rerr == io.EOF {
 			return records, validSize, nil, nil
 		}
@@ -84,7 +94,7 @@ func readRecords(path string, first LSN, fn func(lsn LSN, payload []byte) error)
 			payload = make([]byte, plen)
 		}
 		payload = payload[:plen]
-		if n, rerr := io.ReadFull(f, payload); rerr != nil {
+		if n, rerr := io.ReadFull(r, payload); rerr != nil {
 			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
 				return records, validSize, &frameError{validSize, fmt.Sprintf("truncated payload (%d of %d bytes)", n, plen)}, nil
 			}
