@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build test race bench figures figures-paper bench-forest bench-scan bench-am bench-wal loadtest stress torture torture-smoke torture-stall torture-forest torture-scan torture-ebr torture-crash fuzz vet fmt clean
+.PHONY: all ci build test race bench figures figures-paper bench-forest bench-scan bench-am bench-wal loadtest torture torture-smoke torture-stall torture-forest torture-scan torture-ebr torture-crash fuzz vet fmt clean
 
 all: build vet test
 
@@ -90,11 +90,6 @@ loadtest:
 	    -rates 500,1000 -duration 3s -warmup 1s \
 	    -scrape http://127.0.0.1:7171 -out BENCH_load_smoke.json -note "make loadtest"; \
 	RC=$$?; kill $$KV_PID; exit $$RC
-
-stress:
-	$(GO) run ./cmd/citrusstress -mode churn -duration 5s
-	$(GO) run ./cmd/citrusstress -mode linear -duration 5s
-	$(GO) run ./cmd/citrusstress -mode falseneg -duration 5s
 
 # Seeded fault-injection torture (docs/VERIFICATION.md "Torture").
 # Long sweep: five seeds, 30s each, across both Citrus flavors plus a
@@ -190,10 +185,16 @@ bench-scan:
 	$(GO) run ./cmd/citrusbench -figure s -quick -json BENCH_scan_smoke.json -note "scan figure smoke"
 
 # Coverage-guided exploration of the core tree against the map oracle,
-# and of snapshot loading over arbitrary file bytes.
+# and of the inputs kvserver reads from the disk and the TCP face: WAL
+# recovery over torn and garbage segments, snapshot loading over
+# arbitrary file bytes, WAL record decoding, and the TCP line protocol
+# against a sequential model.
 fuzz:
 	$(GO) test -fuzz=FuzzOpsAgainstOracle -fuzztime 60s ./internal/core
+	$(GO) test -run FuzzWALRecover -fuzz=FuzzWALRecover -fuzztime 20s ./internal/wal
 	$(GO) test -run FuzzSnapshotLoad -fuzz=FuzzSnapshotLoad -fuzztime 20s ./internal/snapshot
+	$(GO) test -run FuzzDecodeRecord -fuzz=FuzzDecodeRecord -fuzztime 20s ./examples/kvserver
+	$(GO) test -run FuzzExecVerb -fuzz=FuzzExecVerb -fuzztime 20s ./examples/kvserver
 
 clean:
 	rm -f bench_results.csv bench_smoke.json BENCH_scan_smoke.json test_output.txt bench_output.txt citrustorture*.json /tmp/kvserver-crash

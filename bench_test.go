@@ -16,6 +16,7 @@
 package citrus_test
 
 import (
+	"math/rand"
 	"os"
 	"strconv"
 	"sync"
@@ -320,6 +321,77 @@ func BenchmarkAblationRecycling(b *testing.B) {
 		h := tree.NewHandle()
 		defer h.Close()
 		churn(b, h)
+	})
+}
+
+// oneShardSink keeps BenchmarkForestOneShard's reads observable.
+var oneShardSink int
+
+// BenchmarkForestOneShard prices routing through a one-shard Forest
+// against the Tree it replaces in kvserver, both built the same way
+// (recycling, one scalable domain, one reclaimer) over the same 30k
+// keys in the same random order, so the two hold identical tree
+// shapes. Get pays the forest's seeded hash; RangeScanLimit(100) and
+// ScanBatched pass the shard's stream straight through, so with
+// -benchmem their B/op and allocs/op must equal the Tree's.
+func BenchmarkForestOneShard(b *testing.B) {
+	const n = 30000
+	dom := rcu.NewDomain()
+	rec := rcu.NewReclaimer(dom)
+	defer rec.Close()
+	tree := citrus.NewWithRecycling[int64, string](dom, rec)
+	forest := citrus.NewForest[int64, string](1)
+	defer forest.Close()
+	th, fh := tree.NewHandle(), forest.NewHandle()
+	defer th.Close()
+	defer fh.Close()
+	for _, k := range rand.New(rand.NewSource(1)).Perm(n) {
+		th.Insert(int64(k), "v")
+		fh.Insert(int64(k), "v")
+	}
+	emit := func(int64, string) bool { oneShardSink++; return true }
+
+	b.Run("Get/Tree", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := th.Get(int64(i % n)); ok {
+				oneShardSink++
+			}
+		}
+	})
+	b.Run("Get/Forest", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := fh.Get(int64(i % n)); ok {
+				oneShardSink++
+			}
+		}
+	})
+	b.Run("RangeScanLimit100/Tree", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lo := int64(i % (n - 100))
+			th.RangeScanLimit(lo, lo+1000, 100, emit)
+		}
+	})
+	b.Run("RangeScanLimit100/Forest", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lo := int64(i % (n - 100))
+			fh.RangeScanLimit(lo, lo+1000, 100, emit)
+		}
+	})
+	b.Run("ScanBatched/Tree", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			th.ScanBatched(512, emit)
+		}
+	})
+	b.Run("ScanBatched/Forest", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fh.ScanBatched(512, emit)
+		}
 	})
 }
 

@@ -309,11 +309,18 @@ func (h *Handle[K, V]) Scan(fn func(key K, value V) bool) { h.inner.Scan(fn) }
 // bound buys an O(limit × shards) memory guarantee). limit <= 0 scans
 // nothing.
 func (h *Handle[K, V]) RangeScanLimit(lo, hi K, limit int, fn func(key K, value V) bool) {
+	rangeScanLimit(h.inner, lo, hi, limit, fn)
+}
+
+// rangeScanLimit streams h's in-range pairs to fn, stopping after the
+// limit-th. Tree handles and one-shard forest handles share it, so the
+// two emit and allocate identically.
+func rangeScanLimit[K cmp.Ordered, V any](h *core.Handle[K, V], lo, hi K, limit int, fn func(key K, value V) bool) {
 	if limit <= 0 {
 		return
 	}
 	n := 0
-	h.inner.RangeScan(lo, hi, func(k K, v V) bool {
+	h.RangeScan(lo, hi, func(k K, v V) bool {
 		if !fn(k, v) {
 			return false
 		}

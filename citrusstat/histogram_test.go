@@ -2,7 +2,6 @@ package citrusstat
 
 import (
 	"encoding/json"
-	"expvar"
 	"sync"
 	"testing"
 	"time"
@@ -233,21 +232,5 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	wg.Wait()
 	if got := h.Total(); got != goroutines*per {
 		t.Fatalf("Total() = %d, want %d", got, goroutines*per)
-	}
-}
-
-func TestPublishIdempotent(t *testing.T) {
-	calls := 0
-	Publish("citrusstat_test_var", func() any { calls++; return map[string]int{"x": 1} })
-	Publish("citrusstat_test_var", func() any { t.Error("second Publish won"); return nil })
-	v := expvar.Get("citrusstat_test_var")
-	if v == nil {
-		t.Fatal("var not published")
-	}
-	if got := v.String(); got != `{"x":1}` {
-		t.Fatalf("published value = %s", got)
-	}
-	if calls != 1 {
-		t.Fatalf("first function called %d times", calls)
 	}
 }

@@ -10,13 +10,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	citrus "github.com/go-citrus/citrus"
 	"github.com/go-citrus/citrus/internal/snapshot"
 	"github.com/go-citrus/citrus/internal/wal"
 )
 
-// The durable store wraps either backend (tree or forest) with a
-// write-ahead log and fuzzy snapshots, so a kvserver started with
-// -wal-dir recovers every acknowledged write after a crash.
+// The durable store adds a write-ahead log and fuzzy snapshots to the
+// server's forest, so a kvserver started with -wal-dir recovers every
+// acknowledged write after a crash.
 //
 // The one invariant everything rests on: a write is APPLIED to the
 // in-memory store BEFORE its record is APPENDED to the WAL, and both
@@ -88,33 +89,24 @@ func stripeOf(key int64) int {
 }
 
 // recoverySummary is the structured report of one boot's recovery,
-// served under /metrics "recovery" and as kvserver_recovery_* gauges.
+// served as the kvserver_recovery_* gauges.
 type recoverySummary struct {
-	SnapshotLSN     uint64 `json:"snapshot_lsn"`
-	SnapshotKeys    int64  `json:"snapshot_keys"`
-	WALRecords      int64  `json:"wal_records"`
-	RecordsReplayed int64  `json:"records_replayed"`
-	ReplaySets      int64  `json:"replay_sets"`
-	ReplayDels      int64  `json:"replay_dels"`
-	TornBytes       int64  `json:"torn_bytes_truncated"`
-	WALSegments     int    `json:"wal_segments"`
-	DurationNanos   int64  `json:"duration_nanos"`
+	SnapshotLSN     uint64
+	SnapshotKeys    int64
+	WALRecords      int64
+	RecordsReplayed int64
+	ReplaySets      int64
+	ReplayDels      int64
+	TornBytes       int64
+	WALSegments     int
+	DurationNanos   int64
 }
 
-// durabilityObs is the optional store surface the observability layer
-// type-asserts to publish WAL/snapshot/recovery series.
-type durabilityObs interface {
-	WALStats() wal.Stats
-	WALPolicy() string
-	RecoverySummary() recoverySummary
-	SnapshotObs() (snapshots, errs int64, lastLSN uint64)
-}
-
-// durableStore decorates a store with the WAL, recovery, and the
-// background snapshotter. Reads and observability pass through to the
-// wrapped backend; writes go through durableHandle.
+// durableStore is what crash durability adds to the server's forest:
+// the WAL, recovery, and the background snapshotter. Reads go to the
+// forest directly; writes go through durableHandle.
 type durableStore struct {
-	store // the wrapped in-memory backend (tree or forest)
+	f *citrus.Forest[int64, string]
 
 	log      *wal.Log
 	dir      string
@@ -135,17 +127,17 @@ type durableStore struct {
 }
 
 // newDurableStore recovers the store's state from cfg.walDir (latest
-// valid snapshot, then the WAL suffix, tolerating a torn tail) into
-// inner, and arms the log and the snapshotter. On error the inner
-// store is NOT closed; the caller owns it.
-func newDurableStore(inner store, cfg kvConfig) (*durableStore, error) {
+// valid snapshot, then the WAL suffix, tolerating a torn tail) into f,
+// and arms the log and the snapshotter. The caller owns f and closes
+// it after Close.
+func newDurableStore(f *citrus.Forest[int64, string], cfg kvConfig) (*durableStore, error) {
 	pol, err := wal.ParsePolicy(cfg.fsync)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	d := &durableStore{
-		store:    inner,
+		f:        f,
 		dir:      cfg.walDir,
 		snapEver: cfg.snapEvery,
 		snapc:    make(chan struct{}, 1),
@@ -157,7 +149,7 @@ func newDurableStore(inner store, cfg kvConfig) (*durableStore, error) {
 	// before the first insert and hands the pairs over in level order,
 	// so these plain inserts build a log-depth tree, or log-depth
 	// shards, out of the scan's ascending key stream.
-	h := inner.NewHandle()
+	h := f.NewHandle()
 	snapLSN, snapKeys, err := snapshot.Load(cfg.walDir, func(k int64, v string) error {
 		if !h.Insert(k, v) {
 			return fmt.Errorf("snapshot key %d already present", k)
@@ -223,10 +215,6 @@ func newDurableStore(inner store, cfg kvConfig) (*durableStore, error) {
 	return d, nil
 }
 
-func (d *durableStore) NewHandle() storeHandle {
-	return &durableHandle{storeHandle: d.store.NewHandle(), d: d}
-}
-
 // noteWrite counts one logged write toward the snapshot trigger.
 func (d *durableStore) noteWrite() {
 	if d.snapEver <= 0 {
@@ -281,7 +269,7 @@ func (d *durableStore) snapshotOnce() error {
 	if err := d.log.Cut(); err != nil {
 		return err
 	}
-	h := d.store.NewHandle()
+	h := d.f.NewHandle()
 	file, keys, err := snapshot.Write(d.dir, uint64(snapLSN), func(emit func(int64, string) error) error {
 		var emitErr error
 		h.ScanBatched(512, func(k int64, v string) bool {
@@ -294,7 +282,7 @@ func (d *durableStore) snapshotOnce() error {
 	if err != nil {
 		return err
 	}
-	d.store.Barrier()
+	d.f.Barrier()
 	if err := snapshot.Publish(d.dir, file, uint64(snapLSN), keys); err != nil {
 		return err
 	}
@@ -306,41 +294,22 @@ func (d *durableStore) snapshotOnce() error {
 	return nil
 }
 
-// Close stops the snapshotter, flushes and closes the log (so every
-// buffered record is durable before the process exits — the drain
-// path's flush point), then closes the wrapped store.
+// Close stops the snapshotter, then flushes and closes the log, so
+// every buffered record is durable before the process exits — the
+// drain path's flush point.
 func (d *durableStore) Close() {
 	close(d.stopc)
 	<-d.donec
 	if err := d.log.Close(); err != nil {
 		log.Printf("kvserver: wal close: %v", err)
 	}
-	d.store.Close()
 }
 
-func (d *durableStore) Metrics() map[string]any {
-	m := d.store.Metrics()
-	m["wal"] = d.log.Stats()
-	m["recovery"] = d.recovery
-	m["snapshot"] = map[string]any{
-		"count":    d.snapshots.Load(),
-		"errors":   d.snapErrs.Load(),
-		"last_lsn": d.lastSnapLSN.Load(),
-	}
-	return m
-}
-
-func (d *durableStore) WALStats() wal.Stats              { return d.log.Stats() }
-func (d *durableStore) WALPolicy() string                { return d.log.Policy().String() }
-func (d *durableStore) RecoverySummary() recoverySummary { return d.recovery }
-func (d *durableStore) SnapshotObs() (int64, int64, uint64) {
-	return d.snapshots.Load(), d.snapErrs.Load(), d.lastSnapLSN.Load()
-}
-
-// durableHandle wraps one connection's handle: reads pass through,
-// effective writes are logged and acknowledged only once durable.
+// durableHandle wraps one connection's forest handle: reads pass
+// through, effective writes are logged and acknowledged only once
+// durable.
 type durableHandle struct {
-	storeHandle
+	*citrus.ForestHandle[int64, string]
 	d *durableStore
 }
 
@@ -367,7 +336,7 @@ func (h *durableHandle) logged(rec []byte) (wal.LSN, error) {
 func (h *durableHandle) Insert(key int64, value string) bool {
 	st := &h.d.stripes[stripeOf(key)]
 	st.Lock()
-	ok := h.storeHandle.Insert(key, value)
+	ok := h.ForestHandle.Insert(key, value)
 	var lsn wal.LSN
 	if ok {
 		lsn, _ = h.logged(encodeSet(key, value))
@@ -387,7 +356,7 @@ func (h *durableHandle) DeleteCtx(ctx context.Context, key int64) (bool, error) 
 	// ok means the delete took effect (even when err reports the
 	// grace-period wait timed out) — exactly the condition under which
 	// the write must be logged.
-	ok, err := h.storeHandle.DeleteCtx(ctx, key)
+	ok, err := h.ForestHandle.DeleteCtx(ctx, key)
 	var lsn wal.LSN
 	if ok {
 		lsn, _ = h.logged(encodeDel(key))

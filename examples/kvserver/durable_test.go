@@ -36,7 +36,7 @@ func durableServer(t *testing.T, dir string, mut func(*kvConfig)) *server {
 func TestDurableRecoveryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := durableServer(t, dir, func(c *kvConfig) { c.snapEvery = 0 }) // WAL-only recovery
-	h := s.store.NewHandle()
+	h := s.newHandle()
 	for k := 0; k < 200; k++ {
 		if got, _ := s.exec(h, fmt.Sprintf("SET %d v%d", k, k)); got != "OK" {
 			t.Fatalf("SET %d: %q", k, got)
@@ -48,19 +48,18 @@ func TestDurableRecoveryRoundTrip(t *testing.T) {
 		}
 	}
 	h.Close()
-	s.store.Close()
+	s.close()
 
 	s2 := durableServer(t, dir, nil)
-	defer s2.store.Close()
-	ds := s2.store.(*durableStore)
-	rec := ds.RecoverySummary()
+	defer s2.close()
+	rec := s2.durable.recovery
 	if rec.RecordsReplayed != 300 || rec.ReplaySets != 200 || rec.ReplayDels != 100 {
 		t.Fatalf("recovery summary %+v, want 300 replayed (200 sets, 100 dels)", rec)
 	}
 	if rec.TornBytes != 0 {
 		t.Fatalf("clean shutdown reported %d torn bytes", rec.TornBytes)
 	}
-	h2 := s2.store.NewHandle()
+	h2 := s2.newHandle()
 	defer h2.Close()
 	for k := 0; k < 200; k++ {
 		want := "NOT_FOUND"
@@ -71,7 +70,7 @@ func TestDurableRecoveryRoundTrip(t *testing.T) {
 			t.Fatalf("after recovery GET %d = %q, want %q", k, got, want)
 		}
 	}
-	if err := s2.store.CheckInvariants(); err != nil {
+	if err := s2.forest.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after recovery: %v", err)
 	}
 }
@@ -79,19 +78,19 @@ func TestDurableRecoveryRoundTrip(t *testing.T) {
 func TestDurableRecoverySharded(t *testing.T) {
 	dir := t.TempDir()
 	s := durableServer(t, dir, func(c *kvConfig) { c.shards = 4; c.snapEvery = 0 })
-	h := s.store.NewHandle()
+	h := s.newHandle()
 	for k := 0; k < 128; k++ {
 		s.exec(h, fmt.Sprintf("SET %d v%d", k, k))
 	}
 	h.Close()
-	s.store.Close()
+	s.close()
 
 	s2 := durableServer(t, dir, func(c *kvConfig) { c.shards = 4 })
-	defer s2.store.Close()
-	if n := s2.store.Len(); n != 128 {
+	defer s2.close()
+	if n := s2.forest.Len(); n != 128 {
 		t.Fatalf("forest recovered %d keys, want 128", n)
 	}
-	if err := s2.store.CheckInvariants(); err != nil {
+	if err := s2.forest.CheckInvariants(); err != nil {
 		t.Fatalf("forest invariants after recovery: %v", err)
 	}
 }
@@ -103,8 +102,8 @@ func TestDurableRecoverySharded(t *testing.T) {
 func TestSnapshotTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
 	s := durableServer(t, dir, func(c *kvConfig) { c.snapEvery = 100 })
-	ds := s.store.(*durableStore)
-	h := s.store.NewHandle()
+	ds := s.durable
+	h := s.newHandle()
 	const n = 350
 	for k := 0; k < n; k++ {
 		if got, _ := s.exec(h, fmt.Sprintf("SET %d v%d", k, k)); got != "OK" {
@@ -113,35 +112,35 @@ func TestSnapshotTruncatesWAL(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if snaps, errs, _ := ds.SnapshotObs(); snaps >= 1 {
-			if errs > 0 {
+		if ds.snapshots.Load() >= 1 {
+			if errs := ds.snapErrs.Load(); errs > 0 {
 				t.Fatalf("snapshot errors: %d", errs)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("snapshotter never ran; stats %+v", ds.WALStats())
+			t.Fatalf("snapshotter never ran; stats %+v", ds.log.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	h.Close()
-	s.store.Close()
+	s.close()
 
 	s2 := durableServer(t, dir, nil)
-	defer s2.store.Close()
-	rec := s2.store.(*durableStore).RecoverySummary()
+	defer s2.close()
+	rec := s2.durable.recovery
 	if rec.SnapshotLSN == 0 || rec.SnapshotKeys == 0 {
 		t.Fatalf("reopen did not use the snapshot: %+v", rec)
 	}
 	if rec.RecordsReplayed >= n {
 		t.Fatalf("replayed %d records — the full log; snapshot did not shorten recovery (%+v)", rec.RecordsReplayed, rec)
 	}
-	if n2 := s2.store.Len(); n2 != n {
+	if n2 := s2.forest.Len(); n2 != n {
 		t.Fatalf("recovered %d keys, want %d", n2, n)
 	}
 	// The snapshot's ascending keys load as a balanced tree; each
 	// replayed record can add at most one level on top.
-	height := s2.store.(*durableStore).store.(*treeStore).tree.Height()
+	height := s2.forest.Height()
 	if bound := bits.Len64(uint64(rec.SnapshotKeys)) + int(rec.RecordsReplayed); height > bound {
 		t.Fatalf("recovered tree has height %d, want ≤ ⌈log2(%d+1)⌉ + %d = %d",
 			height, rec.SnapshotKeys, rec.RecordsReplayed, bound)
@@ -158,8 +157,8 @@ func TestFailedPublishKeepsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := durableServer(t, dir, func(c *kvConfig) { c.snapEvery = 100 })
-	ds := s.store.(*durableStore)
-	h := s.store.NewHandle()
+	ds := s.durable
+	h := s.newHandle()
 	const n = 250
 	for k := 0; k < n; k++ {
 		if got, _ := s.exec(h, fmt.Sprintf("SET %d v%d", k, k)); got != "OK" {
@@ -168,7 +167,7 @@ func TestFailedPublishKeepsWAL(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		snaps, errs, _ := ds.SnapshotObs()
+		snaps, errs := ds.snapshots.Load(), ds.snapErrs.Load()
 		if snaps > 0 {
 			t.Fatalf("a snapshot published through a blocked manifest (%d published)", snaps)
 		}
@@ -181,15 +180,15 @@ func TestFailedPublishKeepsWAL(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	h.Close()
-	s.store.Close()
+	s.close()
 
 	s2 := durableServer(t, dir, nil)
-	defer s2.store.Close()
-	rec := s2.store.(*durableStore).RecoverySummary()
+	defer s2.close()
+	rec := s2.durable.recovery
 	if rec.SnapshotLSN != 0 || rec.RecordsReplayed != n {
 		t.Fatalf("reopen after failed publishes: %+v, want no snapshot and all %d records replayed", rec, n)
 	}
-	if n2 := s2.store.Len(); n2 != n {
+	if n2 := s2.forest.Len(); n2 != n {
 		t.Fatalf("recovered %d keys, want %d", n2, n)
 	}
 }
@@ -207,7 +206,7 @@ func TestDurableConcurrentWriters(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			h := s.store.NewHandle()
+			h := s.newHandle()
 			defer h.Close()
 			base := int64(w * 10000)
 			for i := int64(0); i < perWorker; i++ {
@@ -223,11 +222,11 @@ func TestDurableConcurrentWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	s.store.Close()
+	s.close()
 
 	s2 := durableServer(t, dir, nil)
-	defer s2.store.Close()
-	h := s2.store.NewHandle()
+	defer s2.close()
+	h := s2.newHandle()
 	defer h.Close()
 	for w := 0; w < workers; w++ {
 		base := int64(w * 10000)
@@ -367,8 +366,8 @@ func TestDrainUnderLoadFlushesWAL(t *testing.T) {
 
 	// Every acknowledged write must be recoverable from the WAL dir.
 	s2 := durableServer(t, dir, nil)
-	defer s2.store.Close()
-	h := s2.store.NewHandle()
+	defer s2.close()
+	h := s2.newHandle()
 	defer h.Close()
 	total := 0
 	for w := range acked {
@@ -390,27 +389,31 @@ func TestDrainUnderLoadFlushesWAL(t *testing.T) {
 func TestDurablePromSeries(t *testing.T) {
 	dir := t.TempDir()
 	s := durableServer(t, dir, nil)
-	h := s.store.NewHandle()
+	h := s.newHandle()
 	for k := 0; k < 32; k++ {
 		s.exec(h, fmt.Sprintf("SET %d v%d", k, k))
 	}
 	h.Close()
-	s.store.Close()
+	s.close()
 
 	// Reopen so the recovery series describe a real recovery.
 	s2 := durableServer(t, dir, nil)
-	defer s2.store.Close()
+	defer s2.close()
 	m := promScrape(t, s2)
 	for _, name := range []string{
 		"kvserver_wal_appends_total",
 		"kvserver_wal_fsyncs_total",
 		"kvserver_wal_tail_lsn",
+		"kvserver_wal_flushed_lsn",
 		"kvserver_wal_durable_lsn",
 		"kvserver_wal_fsync_policy_info",
 		"kvserver_wal_fsync_seconds",
 		"kvserver_snapshots_total",
 		"kvserver_recovery_snapshot_lsn",
+		"kvserver_recovery_wal_records",
 		"kvserver_recovery_records_replayed",
+		"kvserver_recovery_replay_sets",
+		"kvserver_recovery_replay_dels",
 		"kvserver_recovery_torn_bytes_truncated",
 		"kvserver_recovery_seconds",
 	} {
@@ -418,12 +421,19 @@ func TestDurablePromSeries(t *testing.T) {
 			t.Errorf("/metrics.prom missing %s", name)
 		}
 	}
-	if v := m["kvserver_recovery_records_replayed"].Samples[0].Value; v != 32 {
-		t.Fatalf("kvserver_recovery_records_replayed = %v, want 32", v)
+	for name, want := range map[string]float64{
+		"kvserver_recovery_wal_records":      32,
+		"kvserver_recovery_records_replayed": 32,
+		"kvserver_recovery_replay_sets":      32,
+		"kvserver_recovery_replay_dels":      0,
+	} {
+		if v := m[name].Samples[0].Value; v != want {
+			t.Fatalf("%s = %v, want %v", name, v, want)
+		}
 	}
 	// In-memory servers must NOT emit the durability series.
 	mem := newServer(defaultKVConfig())
-	defer mem.store.Close()
+	defer mem.close()
 	m2 := promScrape(t, mem)
 	if _, ok := m2["kvserver_wal_appends_total"]; ok {
 		t.Fatal("in-memory server emitted kvserver_wal_* series")
@@ -438,18 +448,18 @@ func TestDurableFsyncPolicies(t *testing.T) {
 		t.Run(pol, func(t *testing.T) {
 			dir := t.TempDir()
 			s := durableServer(t, dir, func(c *kvConfig) { c.fsync = pol })
-			h := s.store.NewHandle()
+			h := s.newHandle()
 			for k := 0; k < 50; k++ {
 				if got, _ := s.exec(h, fmt.Sprintf("SET %d p%d", k, k)); got != "OK" {
 					t.Fatalf("SET %d under %s: %q", k, pol, got)
 				}
 			}
 			h.Close()
-			s.store.Close() // clean close flushes even under none
+			s.close() // clean close flushes even under none
 
 			s2 := durableServer(t, dir, nil)
-			defer s2.store.Close()
-			if n := s2.store.Len(); n != 50 {
+			defer s2.close()
+			if n := s2.forest.Len(); n != 50 {
 				t.Fatalf("policy %s: recovered %d keys, want 50", pol, n)
 			}
 		})
@@ -462,5 +472,13 @@ func TestBuildServerRejectsBadFsync(t *testing.T) {
 	cfg.fsync = "sometimes"
 	if _, err := buildServer(cfg); err == nil {
 		t.Fatal("buildServer accepted -fsync sometimes")
+	}
+}
+
+func TestBuildServerRejectsBadFlavor(t *testing.T) {
+	cfg := defaultKVConfig()
+	cfg.flavor = "bogus"
+	if _, err := buildServer(cfg); err == nil {
+		t.Fatal("buildServer accepted -flavor bogus")
 	}
 }

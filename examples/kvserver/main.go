@@ -1,11 +1,11 @@
-// kvserver: a TCP key-value store backed by the Citrus tree — or, with
-// -shards N, by a citrus.Forest that hash-partitions the key space
-// across N independent trees, each with its own RCU domain and
-// reclaimer. Sharding bounds the blast radius of a stalled reader: a
-// reader stuck in one shard's critical section degrades that shard's
-// reclamation while the other shards' grace periods keep completing,
-// so /healthz and the write-shedding policy (which aggregate across
-// shards) describe the whole forest honestly.
+// kvserver: a TCP key-value store backed by a citrus.Forest that
+// hash-partitions the key space across -shards N independent Citrus
+// trees, each with its own RCU domain and reclaimer. The default, one
+// shard, is exactly one Citrus tree. More shards bound the blast radius
+// of a stalled reader: a reader stuck in one shard's critical section
+// degrades that shard's reclamation while the other shards' grace
+// periods keep completing, so /healthz and the write-shedding policy
+// (which aggregate across shards) describe the whole forest honestly.
 //
 // The server speaks a line protocol on 127.0.0.1:7170 (configurable):
 //
@@ -41,13 +41,11 @@
 //	/healthz       → 200 while healthy, 503 with a JSON reason list
 //	                 while degraded (stalled grace period, reclaimer
 //	                 backlog at its watermark)
-//	/metrics       → JSON snapshot: tree op counters, RCU grace-period
-//	                 stats (count + wait histogram), reclaimer queue
-//	                 stats, server counters
-//	/debug/citrus  → the same plus human-oriented derived figures
-//	                 (retry rates, grace-period p50/p99/mean)
-//	/debug/vars    → standard expvar, including the same snapshot under
-//	                 the "citrus" key (see citrusstat.Publish)
+//	/metrics.prom  → every metric the server keeps, in the Prometheus
+//	                 text format: request latency histograms, server
+//	                 counters, WAL and recovery series, and per shard the
+//	                 tree counters, RCU grace-period stats and reclaimer
+//	                 queue depth and age
 //	/debug/trace   → citrustrace flight-recorder dump when tracing is on
 //	                 (-trace); ?format=chrome serves the Chrome
 //	                 trace_event form for chrome://tracing / Perfetto
@@ -80,7 +78,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -100,7 +97,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/go-citrus/citrus/citrusstat"
+	citrus "github.com/go-citrus/citrus"
 	"github.com/go-citrus/citrus/internal/wal"
 	"github.com/go-citrus/citrus/rcu"
 )
@@ -162,18 +159,19 @@ func defaultKVConfig() kvConfig {
 }
 
 type server struct {
-	store store
-	cfg   kvConfig
-	ops   atomic.Int64
-	conns atomic.Int64
+	forest  *citrus.Forest[int64, string]
+	durable *durableStore // nil unless -wal-dir is set
+	cfg     kvConfig
+	ops     atomic.Int64
+	conns   atomic.Int64
 
-	// Degradation accounting, surfaced in /metrics and /healthz.
+	// Degradation accounting, surfaced in /metrics.prom and /healthz.
 	shedWrites   atomic.Int64 // SET/DEL rejected while degraded
 	gpTimeouts   atomic.Int64 // DELs whose grace-period wait hit the deadline
 	stallReports atomic.Int64 // stall-detector reports logged
 
-	// Request latency histograms per (face, op), surfaced as summaries
-	// in /metrics and as cumulative histograms in /metrics.prom.
+	// Request latency histograms per (face, op), surfaced as cumulative
+	// histograms in /metrics.prom.
 	lat reqLatencies
 }
 
@@ -191,28 +189,42 @@ func newServer(cfg kvConfig) *server {
 
 func buildServer(cfg kvConfig) (*server, error) {
 	s := &server{cfg: cfg}
-	onStall := func(shard int, r rcu.StallReport) {
+	f, err := newForest(cfg, func(shard int, r rcu.StallReport) {
 		s.stallReports.Add(1)
-		if cfg.shards > 1 {
-			log.Printf("kvserver: shard %d: %v", shard, r)
-		} else {
-			log.Printf("kvserver: %v", r)
-		}
+		log.Printf("kvserver: shard %d: %v", shard, r)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.shards > 1 {
-		s.store = newForestStore(cfg, onStall)
-	} else {
-		s.store = newTreeStore(cfg, onStall)
-	}
+	s.forest = f
 	if cfg.walDir != "" {
-		ds, err := newDurableStore(s.store, cfg)
+		s.durable, err = newDurableStore(f, cfg)
 		if err != nil {
-			s.store.Close()
+			f.Close()
 			return nil, err
 		}
-		s.store = ds
 	}
 	return s, nil
+}
+
+// newHandle returns one connection's view of the store: a forest
+// handle, whose writes are logged when the server is durable.
+func (s *server) newHandle() storeHandle {
+	h := s.forest.NewHandle()
+	if s.durable == nil {
+		return h
+	}
+	return &durableHandle{ForestHandle: h, d: s.durable}
+}
+
+// close flushes and closes the WAL, when there is one, then drains
+// retired nodes through their grace periods on every shard and stops
+// the reclaimers. Every handle must be closed first.
+func (s *server) close() {
+	if s.durable != nil {
+		s.durable.Close()
+	}
+	s.forest.Close()
 }
 
 // degraded reports whether the server is shedding writes, with a
@@ -221,17 +233,39 @@ func buildServer(cfg kvConfig) (*server, error) {
 // grace-period wait stalled past the detector threshold (a reader stuck
 // in its critical section), or a reclaimer's queue at/above its high
 // watermark (retired nodes accumulating faster than grace periods
-// retire them). With -shards both probes aggregate across every shard —
-// the router is hash-based, so any write may land on the sick shard.
+// retire them). Both probes aggregate across every shard — the router
+// is hash-based, so any write may land on the sick shard.
 func (s *server) degraded() (bool, []string) {
 	var reasons []string
-	if n := s.store.ActiveStalls(); n > 0 {
+	if n := s.activeStalls(); n > 0 {
 		reasons = append(reasons, fmt.Sprintf("%d grace-period wait(s) stalled past %v", n, s.cfg.stallTimeout))
 	}
-	if d := s.store.MaxQueueDepth(); s.cfg.recHigh > 0 && d >= int64(s.cfg.recHigh) {
+	if _, d := s.reclaimBacklog(); s.cfg.recHigh > 0 && d >= int64(s.cfg.recHigh) {
 		reasons = append(reasons, fmt.Sprintf("reclaimer backlog %d at high watermark %d", d, s.cfg.recHigh))
 	}
 	return len(reasons) > 0, reasons
+}
+
+// activeStalls sums the grace-period waits stalled past the detector
+// threshold on every shard.
+func (s *server) activeStalls() int64 {
+	var n int64
+	for i := 0; i < s.forest.NumShards(); i++ {
+		n += flavorStats(s.forest.Flavor(i)).ActiveStalls
+	}
+	return n
+}
+
+// reclaimBacklog returns the reclaimers' backlog summed over the shards,
+// for reporting, and the deepest single shard's, for the watermark
+// comparison: each shard's reclaimer carries its own watermark.
+func (s *server) reclaimBacklog() (total, deepest int64) {
+	for i := 0; i < s.forest.NumShards(); i++ {
+		d := s.forest.Reclaimer(i).QueueDepth()
+		total += d
+		deepest = max(deepest, d)
+	}
+	return total, deepest
 }
 
 // writeCtx returns the context bounding one write's grace-period wait.
@@ -244,7 +278,7 @@ func (s *server) writeCtx() (context.Context, context.CancelFunc) {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7170", "listen address")
-	httpAddr := flag.String("http", "127.0.0.1:7171", "HTTP observability address (/metrics, /debug/citrus, /debug/vars, /debug/trace, /debug/pprof); empty disables")
+	httpAddr := flag.String("http", "127.0.0.1:7171", "HTTP address for /metrics.prom, /healthz, /kv, /debug/trace and /debug/pprof; empty disables")
 	serve := flag.Bool("serve", false, "keep serving after the demo instead of exiting")
 	traceOn := flag.Bool("trace", false, "enable the citrustrace flight recorder at startup (dump at /debug/trace)")
 	mutexFrac := flag.Int("mutexprofilefraction", 0, "runtime.SetMutexProfileFraction: sample 1/n mutex contention events (0 disables)")
@@ -266,9 +300,6 @@ func main() {
 	runtime.SetBlockProfileRate(*blockRate)
 	if *shards < 1 {
 		log.Fatalf("-shards must be at least 1, got %d", *shards)
-	}
-	if _, err := newRCUFlavor(*flavor); err != nil {
-		log.Fatalf("-flavor: %v", err)
 	}
 	if _, err := wal.ParsePolicy(*fsync); err != nil {
 		log.Fatalf("-fsync: %v", err)
@@ -312,23 +343,15 @@ func runNotify(addr, httpAddr string, keepServing, traceOn bool, cfg kvConfig, r
 		return err
 	}
 	if traceOn {
-		srv.store.EnableTracing()
-		if cfg.shards > 1 {
-			log.Printf("flight recorder enabled on every shard (merged dump at /debug/trace, events tagged by shard)")
-		} else {
-			log.Printf("flight recorder enabled (dump at /debug/trace)")
-		}
+		srv.forest.EnableTracing()
+		log.Printf("flight recorder enabled on every shard (merged dump at /debug/trace, events tagged by shard)")
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	defer ln.Close()
-	if cfg.shards > 1 {
-		log.Printf("kvserver listening on %s (%d shards, each with its own RCU domain and reclaimer)", ln.Addr(), cfg.shards)
-	} else {
-		log.Printf("kvserver listening on %s", ln.Addr())
-	}
+	log.Printf("kvserver listening on %s (%d shard(s), each with its own RCU domain and reclaimer)", ln.Addr(), cfg.shards)
 
 	// Install the SIGTERM handler before either face can answer: a
 	// client that got a reply may stop the server at once, and a
@@ -349,9 +372,8 @@ func runNotify(addr, httpAddr string, keepServing, traceOn bool, cfg kvConfig, r
 		}
 		defer hln.Close()
 		boundHTTP = hln.Addr().String()
-		citrusstat.Publish("citrus", func() any { return srv.metrics() })
 		go http.Serve(hln, srv.statsMux()) //nolint:errcheck // closed with the listener
-		log.Printf("stats on http://%s/metrics (also /debug/citrus, /debug/vars, /debug/trace, /debug/pprof)", hln.Addr())
+		log.Printf("stats on http://%s/metrics.prom (also /healthz, /kv, /debug/trace, /debug/pprof)", hln.Addr())
 	}
 
 	// Open connections are tracked so the drain path can force-close
@@ -396,8 +418,8 @@ func runNotify(addr, httpAddr string, keepServing, traceOn bool, cfg kvConfig, r
 			wg.Wait()
 			return fmt.Errorf("demo client: %w", err)
 		}
-		log.Printf("demo done: %d ops served, %d keys resident", srv.ops.Load(), srv.store.Len())
-		if err := srv.store.CheckInvariants(); err != nil {
+		log.Printf("demo done: %d ops served, %d keys resident", srv.ops.Load(), srv.forest.Len())
+		if err := srv.forest.CheckInvariants(); err != nil {
 			return fmt.Errorf("tree invariants: %w", err)
 		}
 		log.Printf("tree invariants: OK")
@@ -434,96 +456,26 @@ func runNotify(addr, httpAddr string, keepServing, traceOn bool, cfg kvConfig, r
 			log.Printf("drain timeout: force-closed %d open connection(s)", n)
 			wg.Wait()
 		}
-		// Handlers are done; now the store — and the WAL behind it, when
-		// -wal-dir is set — can flush, fsync, and close in order.
-		srv.store.Close()
+		// Handlers are done; now the WAL, when -wal-dir is set, and then
+		// the store can flush, fsync, and close in order.
+		srv.close()
 		log.Printf("drained: %d ops served", srv.ops.Load())
 		return nil
 	}
 	ln.Close()
 	wg.Wait()
-	srv.store.Close()
+	srv.close()
 	return nil
 }
 
-// metrics is the machine-oriented snapshot served at /metrics and
-// published through expvar. Everything in it comes from the library's
-// native stats layer; the server adds only its own request counters.
-// With -shards the store contributes the forest fold under "tree"/"rcu"
-// plus per-shard breakdowns under "shards" and "reclaimers".
-func (s *server) metrics() map[string]any {
-	doc := map[string]any{
-		"server": map[string]int64{
-			"ops":           s.ops.Load(),
-			"conns":         s.conns.Load(),
-			"keys":          int64(s.store.Len()),
-			"shards":        int64(s.cfg.shards),
-			"shed_writes":   s.shedWrites.Load(),
-			"gp_timeouts":   s.gpTimeouts.Load(),
-			"stall_reports": s.stallReports.Load(),
-		},
-		"flavor":          s.cfg.flavorName(),
-		"request_latency": s.lat.summaries(),
-	}
-	for k, v := range s.store.Metrics() {
-		doc[k] = v
-	}
-	return doc
-}
-
-// debugCitrus adds human-oriented derived figures (rates, latency
-// summary) on top of the raw snapshot.
-func (s *server) debugCitrus() map[string]any {
-	ts := s.store.Stats()
-	rs := rcu.Stats{}
-	if ts.RCU != nil {
-		rs = *ts.RCU // the forest fold merges every shard's domain here
-	}
-	updates := ts.Inserts + ts.InsertExisting + ts.Deletes + ts.DeleteMisses
-	rate := func(n int64) float64 {
-		if updates == 0 {
-			return 0
-		}
-		return float64(n) / float64(updates)
-	}
-	return map[string]any{
-		"snapshot": s.metrics(),
-		"derived": map[string]any{
-			"insert_retry_rate":  rate(ts.InsertRetries),
-			"delete_retry_rate":  rate(ts.DeleteRetries),
-			"grace_period_mean":  rs.SyncWait.Mean().String(),
-			"grace_period_p50":   rs.SyncWait.Percentile(50).String(),
-			"grace_period_p99":   rs.SyncWait.Percentile(99).String(),
-			"grace_period_note":  "one grace period per two-child delete (paper line 74)",
-			"two_child_deletes":  ts.TwoChildDeletes,
-			"grace_periods":      rs.Synchronizes,
-			"sync_wait_summary":  rs.SyncWait.Summary(),
-			"reader_high_water":  rs.ReaderHighWater,
-			"registered_readers": rs.Readers,
-		},
-	}
-}
-
-// statsMux serves the observability endpoints.
+// statsMux serves the HTTP face of the store and the observability
+// endpoints.
 func (s *server) statsMux() *http.ServeMux {
-	writeJSON := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(v) //nolint:errcheck // best-effort over HTTP
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.serveHealthz)
 	mux.HandleFunc("/kv/", s.serveKV)
 	mux.HandleFunc("/kv", s.serveScan) // exact match: the query-driven range scan
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.metrics())
-	})
 	mux.HandleFunc("/metrics.prom", s.servePromMetrics)
-	mux.HandleFunc("/debug/citrus", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.debugCitrus())
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/trace", s.serveTrace)
 	// net/http/pprof registers on DefaultServeMux; this server uses its
 	// own mux, so route the handlers explicitly. /debug/pprof/trace is
@@ -543,12 +495,13 @@ func (s *server) statsMux() *http.ServeMux {
 // can keep read traffic flowing while routing writes elsewhere.
 func (s *server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	deg, reasons := s.degraded()
+	backlog, _ := s.reclaimBacklog()
 	doc := map[string]any{
 		"status":              "ok",
 		"reasons":             reasons,
 		"shards":              s.cfg.shards,
-		"active_stalls":       s.store.ActiveStalls(),
-		"reclaim_queue_depth": s.store.QueueDepth(),
+		"active_stalls":       s.activeStalls(),
+		"reclaim_queue_depth": backlog,
 		"shed_writes":         s.shedWrites.Load(),
 		"gp_timeouts":         s.gpTimeouts.Load(),
 	}
@@ -575,7 +528,7 @@ func (s *server) serveKV(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad key: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	h := s.store.NewHandle()
+	h := s.newHandle()
 	defer h.Close()
 	s.ops.Add(1)
 	defer s.lat.record("http", r.Method, time.Now())
@@ -677,7 +630,7 @@ func (s *server) serveScan(w http.ResponseWriter, r *http.Request) {
 		limit = maxScanResults
 	}
 
-	h := s.store.NewHandle()
+	h := s.newHandle()
 	defer h.Close()
 	s.ops.Add(1)
 	defer s.lat.record("http", "SCAN", time.Now())
@@ -688,8 +641,8 @@ func (s *server) serveScan(w http.ResponseWriter, r *http.Request) {
 	}
 	pairs := []pair{} // non-nil: an empty scan answers "pairs": []
 	// The bounded scan asks for one pair past the limit purely to learn
-	// whether the cap cut anything off; the forest backend buffers at
-	// most limit+1 pairs per shard regardless of how wide [from, to) is.
+	// whether the cap cut anything off; the forest buffers at most
+	// limit+1 pairs per shard regardless of how wide [from, to) is.
 	h.RangeScanLimit(from, to, limit+1, func(k int64, v string) bool {
 		pairs = append(pairs, pair{k, v})
 		return true
@@ -710,16 +663,16 @@ func (s *server) serveScan(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveTrace dumps the flight recorder: the native JSON form by
-// default, the Chrome trace_event form with ?format=chrome. With
-// -shards the dump merges every shard's rings onto one clock,
-// time-ordered, each event tagged with its source shard (rendered as
-// one process group per shard in the Chrome form).
+// default, the Chrome trace_event form with ?format=chrome. The dump
+// merges every shard's rings onto one clock, time-ordered, each event
+// tagged with its source shard (rendered as one process group per shard
+// in the Chrome form).
 func (s *server) serveTrace(w http.ResponseWriter, r *http.Request) {
-	if !s.store.TracingEnabled() {
+	if s.forest.TraceRecorder(0) == nil {
 		http.Error(w, "tracing disabled (start kvserver with -trace)", http.StatusNotFound)
 		return
 	}
-	tr := s.store.DumpTrace()
+	tr := s.forest.DumpTrace()
 	if r.URL.Query().Get("format") == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="citrus-trace.json"`)
@@ -734,7 +687,7 @@ func (s *server) serveTrace(w http.ResponseWriter, r *http.Request) {
 func (s *server) handle(conn net.Conn) {
 	defer conn.Close()
 	s.conns.Add(1)
-	h := s.store.NewHandle()
+	h := s.newHandle()
 	defer h.Close()
 
 	sc := bufio.NewScanner(conn)
@@ -861,7 +814,7 @@ func (s *server) execVerb(h storeHandle, verb string, fields []string) (reply st
 		fmt.Fprintf(&b, "END %d", count)
 		return b.String(), false
 	case "LEN":
-		return fmt.Sprintf("LEN %d", s.store.Len()), false
+		return fmt.Sprintf("LEN %d", s.forest.Len()), false
 	case "QUIT":
 		return "BYE", true
 	default:

@@ -12,7 +12,7 @@ import (
 
 func newTestServer() (*server, storeHandle) {
 	s := newServer(defaultKVConfig())
-	return s, s.store.NewHandle()
+	return s, s.newHandle()
 }
 
 func TestExecProtocol(t *testing.T) {
@@ -75,87 +75,71 @@ func TestServerEndToEndTraced(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint exercises /metrics and /debug/citrus against a
-// server that has done real work, decoding the JSON and checking that
-// the library's counters made it through.
+// TestMetricsEndpoint checks that /metrics.prom is the server's one
+// metrics surface: the JSON /metrics, /debug/citrus and /debug/vars
+// documents are gone, every field only they carried is a series, and
+// the library's counters made it through a server that has done real
+// work.
 func TestMetricsEndpoint(t *testing.T) {
 	s, h := newTestServer()
 	defer h.Close()
 	s.exec(h, "SET 2 two")
 	s.exec(h, "SET 1 one")
 	s.exec(h, "SET 3 three")
+	s.exec(h, "SET 1 again") // insert_existing
 	s.exec(h, "GET 1")
 	s.exec(h, "DEL 2") // two children → one grace period
+	s.exec(h, "DEL 9") // delete_misses
 
 	mux := s.statsMux()
-	get := func(path string) map[string]any {
-		t.Helper()
+	for _, path := range []string{"/metrics", "/debug/citrus", "/debug/vars"} {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != 200 {
-			t.Fatalf("GET %s: status %d", path, rec.Code)
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, rec.Code)
 		}
-		if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "json") {
-			t.Fatalf("GET %s: Content-Type %q", path, ct)
-		}
-		var m map[string]any
-		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-			t.Fatalf("GET %s: bad JSON: %v\n%s", path, err, rec.Body.String())
-		}
-		return m
 	}
 
-	// The recycling reclaimer runs its own grace periods on the store's
-	// domain, so the counters settle only once it has run everything
-	// deferred to it. Barrier is no fence for this: it returns before
-	// the drain bumps GracePeriods. One document reads the rcu section
-	// before the reclaimer section, so read a fresh one once settled.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		rc, _ := get("/metrics")["reclaimer"].(map[string]any)
-		if rc != nil && rc["executed"] == rc["deferred"] {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("reclaimer still busy after 5s: %v", rc)
+	m := quiescentScrape(t, s)
+	for _, name := range []string{
+		"citrus_tree_insert_existing_total", "citrus_tree_delete_misses_total",
+		"citrus_rcu_sync_spins_total", "citrus_rcu_sync_rechecks_total",
+		"citrus_rcu_sync_yields_total", "citrus_rcu_sync_sleeps_total",
+		"citrus_rcu_reader_high_water", "citrus_rcu_follower_wait_seconds",
+	} {
+		if f := m[name]; f == nil || len(f.Samples) == 0 {
+			t.Errorf("/metrics.prom has no %s", name)
 		}
 	}
-	m := get("/metrics")
-	rc := m["reclaimer"].(map[string]any)
-	srvVars, ok := m["server"].(map[string]any)
-	if !ok || srvVars["ops"].(float64) != 5 || srvVars["keys"].(float64) != 2 {
-		t.Fatalf("/metrics server section wrong: %v", m["server"])
+	one := func(name string) float64 {
+		t.Helper()
+		f := m[name]
+		if f == nil || len(f.Samples) != 1 {
+			t.Fatalf("%s: %+v, want one sample", name, f)
+		}
+		return f.Samples[0].Value
 	}
-	tree, ok := m["tree"].(map[string]any)
-	if !ok || tree["inserts"].(float64) != 3 || tree["two_child_deletes"].(float64) != 1 {
-		t.Fatalf("/metrics tree section wrong: %v", m["tree"])
+	for name, want := range map[string]float64{
+		"kvserver_ops_total":                  7,
+		"kvserver_keys":                       2,
+		"citrus_tree_inserts_total":           3,
+		"citrus_tree_insert_existing_total":   1,
+		"citrus_tree_deletes_total":           1,
+		"citrus_tree_delete_misses_total":     1,
+		"citrus_tree_two_child_deletes_total": 1,
+	} {
+		if got := one(name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
 	// Every grace period on the domain is the delete's or the
-	// reclaimer's.
-	wantSyncs := tree["two_child_deletes"].(float64) + rc["grace_periods"].(float64)
-	rcuVars, ok := m["rcu"].(map[string]any)
-	if !ok || rcuVars["synchronizes"].(float64) != wantSyncs {
-		t.Fatalf("/metrics rcu section wrong: %v, want synchronizes = two_child_deletes + reclaimer grace_periods = %v (reclaimer %v)",
-			m["rcu"], wantSyncs, m["reclaimer"])
+	// reclaimer's: the reclaimer drives its own on the same domain.
+	if got, want := one("citrus_rcu_synchronizes_total"),
+		one("citrus_tree_two_child_deletes_total")+one("citrus_reclaim_grace_periods_total"); got != want {
+		t.Fatalf("synchronizes = %v, want two-child deletes + reclaimer grace periods = %v", got, want)
 	}
-
-	d := get("/debug/citrus")
-	derived, ok := d["derived"].(map[string]any)
-	if !ok || derived["grace_periods"].(float64) != wantSyncs || derived["two_child_deletes"].(float64) != 1 {
-		t.Fatalf("/debug/citrus derived section wrong: %v, want grace_periods = %v", d["derived"], wantSyncs)
-	}
-	if _, ok := d["snapshot"].(map[string]any); !ok {
-		t.Fatalf("/debug/citrus missing snapshot: %v", d)
-	}
-
-	// /debug/vars serves standard expvar and must at least be valid JSON.
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/debug/vars: status %d", rec.Code)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
-		t.Fatalf("/debug/vars: bad JSON: %v", err)
+	if got := one("citrus_rcu_reader_high_water"); got < 1 {
+		t.Fatalf("citrus_rcu_reader_high_water = %v with a handle open", got)
 	}
 }
 
@@ -172,7 +156,7 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("/debug/trace with tracing disabled: status %d, want 404", rec.Code)
 	}
 
-	s.store.EnableTracing()
+	s.forest.EnableTracing()
 	s.exec(h, "SET 2 two")
 	s.exec(h, "SET 1 one")
 	s.exec(h, "SET 3 three")
@@ -241,7 +225,7 @@ func TestGracefulDegradation(t *testing.T) {
 	cfg.stallTimeout = 10 * time.Millisecond
 	cfg.opTimeout = 300 * time.Millisecond
 	s := newServer(cfg)
-	h := s.store.NewHandle()
+	h := s.newHandle()
 	defer h.Close()
 	mux := s.statsMux()
 
@@ -259,7 +243,7 @@ func TestGracefulDegradation(t *testing.T) {
 	s.exec(h, "SET 3 three")
 
 	// Park a reader inside its read-side critical section.
-	pr := s.store.(*treeStore).dom.Register()
+	pr := s.forest.Domain(0).Register()
 	defer pr.Unregister()
 	pr.ReadLock()
 	parked := true
@@ -412,14 +396,15 @@ func TestServerEndToEndSharded(t *testing.T) {
 	}
 }
 
-// TestShardedMetrics checks the forest server's /metrics document: the
-// "tree" section is the cross-shard fold, and the per-shard breakdowns
-// ("shards", "reclaimers") are present with one entry per shard.
+// TestShardedMetrics checks the forest server's metrics at four shards:
+// the server gauges count shards and keys, and the tree and reclaimer
+// families carry one sample per shard, with the per-shard inserts
+// summing to what was done.
 func TestShardedMetrics(t *testing.T) {
 	cfg := defaultKVConfig()
 	cfg.shards = 4
 	s := newServer(cfg)
-	h := s.store.NewHandle()
+	h := s.newHandle()
 	defer h.Close()
 	const n = 32
 	for k := 0; k < n; k++ {
@@ -428,36 +413,28 @@ func TestShardedMetrics(t *testing.T) {
 		}
 	}
 
-	rec := httptest.NewRecorder()
-	s.statsMux().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/metrics: status %d", rec.Code)
+	m := promScrape(t, s)
+	if v := m["kvserver_shards"].Samples[0].Value; v != 4 {
+		t.Fatalf("kvserver_shards = %v, want 4", v)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-		t.Fatalf("/metrics: bad JSON: %v", err)
+	if v := m["kvserver_keys"].Samples[0].Value; v != n {
+		t.Fatalf("kvserver_keys = %v, want %d", v, n)
 	}
-	srvVars := m["server"].(map[string]any)
-	if srvVars["shards"].(float64) != 4 || srvVars["keys"].(float64) != n {
-		t.Fatalf("/metrics server section wrong: %v", m["server"])
-	}
-	tree := m["tree"].(map[string]any)
-	if tree["inserts"].(float64) != n {
-		t.Fatalf("/metrics tree fold wrong: %v", m["tree"])
-	}
-	shards, ok := m["shards"].([]any)
-	if !ok || len(shards) != 4 {
-		t.Fatalf("/metrics shards section wrong: %v", m["shards"])
+	ins := m["citrus_tree_inserts_total"]
+	if ins == nil || len(ins.Samples) != 4 {
+		t.Fatalf("citrus_tree_inserts_total: %+v, want 4 shard samples", ins)
 	}
 	var perShard float64
-	for _, sh := range shards {
-		perShard += sh.(map[string]any)["inserts"].(float64)
+	for _, sm := range ins.Samples {
+		perShard += sm.Value
 	}
 	if perShard != n {
 		t.Fatalf("per-shard inserts sum to %v, want %d", perShard, n)
 	}
-	if recs, ok := m["reclaimers"].([]any); !ok || len(recs) != 4 {
-		t.Fatalf("/metrics reclaimers section wrong: %v", m["reclaimers"])
+	for _, fam := range []string{"citrus_reclaim_deferred_total", "citrus_reclaim_queue_depth"} {
+		if f := m[fam]; f == nil || len(f.Samples) != 4 {
+			t.Fatalf("%s: %+v, want 4 shard samples", fam, f)
+		}
 	}
 }
 
@@ -471,10 +448,10 @@ func TestShardedDegradationAggregates(t *testing.T) {
 	cfg.shards = 4
 	cfg.stallTimeout = 10 * time.Millisecond
 	s := newServer(cfg)
-	h := s.store.NewHandle()
+	h := s.newHandle()
 	defer h.Close()
 	mux := s.statsMux()
-	f := s.store.(*forestStore).f
+	f := s.forest
 
 	s.exec(h, "SET 1 one")
 
@@ -576,7 +553,7 @@ func TestScanTCP(t *testing.T) {
 	if got, _ := s.exec(h, "SCAN 100 200 5"); got != "END 0" {
 		t.Fatalf("empty SCAN = %q", got)
 	}
-	if _, ok := s.lat.summaries()["tcp_scan"]; !ok {
+	if s.lat.tcpScan.Snapshot().Total() == 0 {
 		t.Fatal("SCAN traffic left no tcp_scan latency series")
 	}
 }
@@ -648,7 +625,7 @@ func TestScanHTTP(t *testing.T) {
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /kv: status %d, want 405", rec.Code)
 	}
-	if _, ok := s.lat.summaries()["http_scan"]; !ok {
+	if s.lat.httpScan.Snapshot().Total() == 0 {
 		t.Fatal("scan traffic left no http_scan latency series")
 	}
 }
@@ -659,7 +636,7 @@ func TestScanSharded(t *testing.T) {
 	cfg := defaultKVConfig()
 	cfg.shards = 4
 	s := newServer(cfg)
-	h := s.store.NewHandle()
+	h := s.newHandle()
 	defer h.Close()
 	const n = 32
 	for k := 0; k < n; k++ {

@@ -37,15 +37,16 @@ func promScrape(t *testing.T, s *server) promtext.Metrics {
 // TestPromMetricsEndpoint drives both faces of the store and checks
 // the Prometheus payload end to end at one shard and at eight: the
 // payload parses strictly, the request histograms carry (face, op)
-// labels with the right counts, and every citrus_* series appears once
-// per shard with the per-shard counters summing to the fold.
+// labels with the right counts, the shard and key gauges are right, and
+// every citrus_* series appears once per shard with the per-shard
+// counters summing to what was done.
 func TestPromMetricsEndpoint(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := defaultKVConfig()
 			cfg.shards = shards
 			s := newServer(cfg)
-			h := s.store.NewHandle()
+			h := s.newHandle()
 			defer h.Close()
 			mux := s.statsMux()
 
@@ -106,10 +107,16 @@ func TestPromMetricsEndpoint(t *testing.T) {
 			if total != n {
 				t.Fatalf("per-shard inserts sum to %v, want %d", total, n)
 			}
+			if v := m["kvserver_shards"].Samples[0].Value; v != float64(shards) {
+				t.Fatalf("kvserver_shards = %v, want %d", v, shards)
+			}
+			if v := m["kvserver_keys"].Samples[0].Value; v != n {
+				t.Fatalf("kvserver_keys = %v, want %d", v, n)
+			}
 			for _, fam := range []string{
 				"citrus_rcu_synchronizes_total", "citrus_rcu_active_syncs",
 				"citrus_rcu_oldest_sync_age_seconds", "citrus_reclaim_queue_depth",
-				"citrus_reclaim_oldest_age_seconds",
+				"citrus_reclaim_oldest_age_seconds", "citrus_reclaim_deferred_total",
 			} {
 				f := m[fam]
 				if f == nil || len(f.Samples) != shards {
@@ -126,6 +133,28 @@ func TestPromMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestScrapeDoesNotWalkStore pins that a scrape reads counters only:
+// back-to-back scrapes of a 100-key server leave the tree's scan
+// counters where they were, and kvserver_keys is still exact.
+func TestScrapeDoesNotWalkStore(t *testing.T) {
+	s, h := newTestServer()
+	defer h.Close()
+	for k := 0; k < 100; k++ {
+		s.exec(h, fmt.Sprintf("SET %d v", k))
+	}
+	first, second := promScrape(t, s), promScrape(t, s)
+	for _, m := range []promtext.Metrics{first, second} {
+		if v := m["kvserver_keys"].Samples[0].Value; v != 100 {
+			t.Fatalf("kvserver_keys = %v, want 100", v)
+		}
+	}
+	a := first["citrus_tree_scan_pairs_total"].Samples[0].Value
+	b := second["citrus_tree_scan_pairs_total"].Samples[0].Value
+	if a != b {
+		t.Fatalf("citrus_tree_scan_pairs_total moved from %v to %v between two scrapes", a, b)
+	}
+}
+
 // TestPromMetricsUnderBackpressure induces degradation (a reader
 // parked in one shard's critical section with a grace period stalled
 // behind it), sheds writes on both faces, and checks the promoted
@@ -137,10 +166,10 @@ func TestPromMetricsUnderBackpressure(t *testing.T) {
 	cfg.shards = 8
 	cfg.stallTimeout = 10 * time.Millisecond
 	s := newServer(cfg)
-	h := s.store.NewHandle()
+	h := s.newHandle()
 	defer h.Close()
 	mux := s.statsMux()
-	f := s.store.(*forestStore).f
+	f := s.forest
 
 	s.exec(h, "SET 1 one")
 
@@ -243,7 +272,7 @@ func TestShardedTraceEndpoint(t *testing.T) {
 	cfg := defaultKVConfig()
 	cfg.shards = 4
 	s := newServer(cfg)
-	h := s.store.NewHandle()
+	h := s.newHandle()
 	defer h.Close()
 	mux := s.statsMux()
 
@@ -253,7 +282,7 @@ func TestShardedTraceEndpoint(t *testing.T) {
 		t.Fatalf("/debug/trace with tracing disabled: status %d, want 404", rec.Code)
 	}
 
-	s.store.EnableTracing()
+	s.forest.EnableTracing()
 	const n = 64
 	for k := 0; k < n; k++ {
 		s.exec(h, fmt.Sprintf("SET %d v%d", k, k))
@@ -324,11 +353,10 @@ func TestShardedTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestFlavorSelection exercises every -flavor name on both backends:
-// the store runs real write traffic (so deletes drive grace periods
-// through the selected flavor), the Prometheus payload carries the
-// flavor label on the info metric and the RCU series, and the JSON
-// metrics document reports the name.
+// TestFlavorSelection exercises every -flavor name at one shard and at
+// four: the store runs real write traffic (so deletes drive grace
+// periods through the selected flavor), and the Prometheus payload
+// carries the flavor label on the info metric and the RCU series.
 func TestFlavorSelection(t *testing.T) {
 	for _, flavor := range []string{"scalable", "classic", "ebr"} {
 		for _, shards := range []int{1, 4} {
@@ -337,8 +365,8 @@ func TestFlavorSelection(t *testing.T) {
 				cfg.flavor = flavor
 				cfg.shards = shards
 				s := newServer(cfg)
-				defer s.store.Close()
-				h := s.store.NewHandle()
+				defer s.close()
+				h := s.newHandle()
 				defer h.Close()
 
 				for k := 0; k < 128; k++ {
@@ -351,10 +379,10 @@ func TestFlavorSelection(t *testing.T) {
 						t.Fatalf("DEL %d = %q", k, got)
 					}
 				}
-				if got := s.store.Len(); got != 64 {
+				if got := s.forest.Len(); got != 64 {
 					t.Fatalf("Len = %d, want 64", got)
 				}
-				if err := s.store.CheckInvariants(); err != nil {
+				if err := s.forest.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
 
@@ -390,14 +418,6 @@ func TestFlavorSelection(t *testing.T) {
 				if total == 0 {
 					t.Fatal("no grace periods ran; the partition check saw nothing")
 				}
-
-				var doc map[string]any
-				if err := json.Unmarshal([]byte(metricsJSON(t, s)), &doc); err != nil {
-					t.Fatal(err)
-				}
-				if got := doc["flavor"]; got != flavor {
-					t.Fatalf("/metrics flavor = %v, want %q", got, flavor)
-				}
 			})
 		}
 	}
@@ -424,15 +444,4 @@ func quiescentScrape(t *testing.T, s *server) promtext.Metrics {
 			t.Fatal("reclaimers still busy after 5s")
 		}
 	}
-}
-
-// metricsJSON GETs the JSON /metrics document off the server mux.
-func metricsJSON(t *testing.T, s *server) string {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	s.statsMux().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/metrics: status %d", rec.Code)
-	}
-	return rec.Body.String()
 }

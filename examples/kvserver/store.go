@@ -5,18 +5,17 @@ import (
 	"fmt"
 
 	citrus "github.com/go-citrus/citrus"
-	"github.com/go-citrus/citrus/citrustrace"
 	"github.com/go-citrus/citrus/rcu"
 )
 
 // newRCUFlavor maps a -flavor name to a factory producing one flavor
-// instance per call (the forest backend calls it once per shard, so
-// shards never share grace-period state). The three names cover the
+// instance per call (the forest calls it once per shard, so shards
+// never share grace-period state). The three names cover the
 // library's reclamation designs: "scalable" is the per-reader
 // counter+flag rcu.Domain (the default and the paper's design),
 // "classic" is the single-counter rcu.ClassicDomain, and "ebr" is the
 // epoch-based rcu.EpochDomain. Every flavor returned here implements
-// rcu.StallControl and rcu.StatsSource, which the stores rely on for
+// rcu.StallControl and rcu.StatsSource, which the server relies on for
 // the stall detector and the degradation probes.
 func newRCUFlavor(name string) (func() rcu.Flavor, error) {
 	switch name {
@@ -55,161 +54,16 @@ func armStallDetector(f rcu.Flavor, cfg kvConfig, shard int, onStall func(shard 
 	}
 }
 
-// store abstracts the server's data plane so the TCP protocol and the
-// HTTP handlers are identical whether the backend is one Citrus tree
-// (the default) or a citrus.Forest of independently reclaimed shards
-// (-shards > 1). The degradation probes aggregate across shards: the
-// router is hash-based, so any connection's next write may land on any
-// shard, and the server must shed writes when ANY shard is unhealthy.
-type store interface {
-	NewHandle() storeHandle
-	Len() int
-	CheckInvariants() error
-
-	// Stats returns the folded operation counters with the merged RCU
-	// block (the forest sums shard counters and merges wait histograms
-	// bucket-wise), feeding /debug/citrus's derived figures.
-	Stats() citrus.Stats
-	// Metrics is the store's part of the /metrics document, keyed by
-	// section name; the server merges its own "server" block in.
-	Metrics() map[string]any
-
-	// ActiveStalls sums stalled grace-period waits across every shard
-	// domain. MaxQueueDepth is the deepest single shard's reclaimer
-	// backlog — the watermark comparison is per shard, because each
-	// shard's reclaimer carries its own watermark. QueueDepth is the
-	// summed backlog, for reporting.
-	ActiveStalls() int64
-	MaxQueueDepth() int64
-	QueueDepth() int64
-
-	// ShardObs returns the per-shard observability snapshot, one entry
-	// per shard (a single entry for the unsharded backend), feeding the
-	// Prometheus exposition's shard-labeled series.
-	ShardObs() []shardObs
-
-	// EnableTracing attaches the flight recorder: one per tree, or one
-	// per shard for the forest backend. TracingEnabled reports whether
-	// a recorder is attached; DumpTrace snapshots it — for the forest,
-	// every shard's rings merged onto one clock with events tagged by
-	// shard (citrustrace.MergeShards).
-	EnableTracing()
-	TracingEnabled() bool
-	DumpTrace() citrustrace.Trace
-
-	// Barrier waits until every reclamation callback enqueued before
-	// the call has run, on every shard — the snapshotter's flush point
-	// between finishing its scan and deleting WAL history (see
-	// durableStore.snapshotOnce).
-	Barrier()
-
-	// Close drains retired nodes through their grace periods on every
-	// shard and stops the reclaimers.
-	Close()
-}
-
-// shardObs is one shard's observability snapshot: the tree's operation
-// counters with its merged RCU block, and the shard reclaimer's queue
-// accounting. The Prometheus handler turns each entry into
-// shard-labeled series.
-type shardObs struct {
-	Tree    citrus.Stats
-	Reclaim rcu.ReclaimerStats
-}
-
-// storeHandle is the per-connection view of the store: the subset of
-// citrus.Handle / citrus.ForestHandle the protocol uses. Both satisfy
-// it directly. RangeScan is the weakly consistent in-order scan over
-// [lo, hi) — every key present for the whole scan appears exactly once,
-// in ascending order, but keys updated concurrently may or may not be
-// seen (the RCU read-side contract; the forest merges its shards into
-// one ascending stream).
-type storeHandle interface {
-	Get(key int64) (string, bool)
-	Insert(key int64, value string) bool
-	DeleteCtx(ctx context.Context, key int64) (bool, error)
-	RangeScan(lo, hi int64, fn func(key int64, value string) bool)
-	// RangeScanLimit is the bounded scan both faces serve: at most limit
-	// pairs, globally ascending. The forest's implementation buffers at
-	// most limit pairs per shard however large the range is, which is
-	// why the server routes every capped scan through it rather than
-	// counting inside a plain RangeScan callback.
-	RangeScanLimit(lo, hi int64, limit int, fn func(key int64, value string) bool)
-	// ScanBatched is the full scan with bounded reader dwell: the
-	// read-side critical section is dropped and re-entered every batch
-	// pairs, so a whole-store traversal (the fuzzy snapshotter's scan)
-	// never parks grace periods for its full duration.
-	ScanBatched(batch int, fn func(key int64, value string) bool)
-	Close()
-}
-
-// treeStore is the unsharded backend: one tree, one flavor, one
-// reclaimer — the shape the rest of the file had before -shards. The
-// flavor is whatever -flavor selected; everything here goes through
-// the rcu.Flavor seam plus the optional StallControl/StatsSource
-// surfaces all built-in flavors implement.
-type treeStore struct {
-	tree *citrus.Tree[int64, string]
-	dom  rcu.Flavor
-	rec  *rcu.Reclaimer
-}
-
-func newTreeStore(cfg kvConfig, onStall func(shard int, r rcu.StallReport)) *treeStore {
+// newForest builds the server's store: a citrus.Forest of cfg.shards
+// Citrus trees with node recycling (one shard is exactly one tree, one
+// flavor and one reclaimer). Every shard gets its own instance of the
+// selected flavor, the same reclaimer watermarks and the same stall
+// detector, so a stalled reader in one shard leaves the siblings'
+// grace periods — and their reclamation — live.
+func newForest(cfg kvConfig, onStall func(shard int, r rcu.StallReport)) (*citrus.Forest[int64, string], error) {
 	newFlavor, err := newRCUFlavor(cfg.flavor)
 	if err != nil {
-		panic(err) // main validated the name before building the config
-	}
-	dom := newFlavor()
-	rec := rcu.NewReclaimer(dom,
-		rcu.WithHighWatermark(cfg.recHigh),
-		rcu.WithHardCap(cfg.recCap))
-	armStallDetector(dom, cfg, 0, onStall)
-	return &treeStore{
-		tree: citrus.NewWithRecycling[int64, string](dom, rec),
-		dom:  dom,
-		rec:  rec,
-	}
-}
-
-func (s *treeStore) NewHandle() storeHandle { return s.tree.NewHandle() }
-func (s *treeStore) Len() int               { return s.tree.Len() }
-func (s *treeStore) CheckInvariants() error { return s.tree.CheckInvariants() }
-func (s *treeStore) Stats() citrus.Stats    { return s.tree.Stats() }
-func (s *treeStore) ActiveStalls() int64    { return flavorStats(s.dom).ActiveStalls }
-func (s *treeStore) MaxQueueDepth() int64   { return s.rec.QueueDepth() }
-func (s *treeStore) QueueDepth() int64      { return s.rec.QueueDepth() }
-func (s *treeStore) EnableTracing()         { s.tree.EnableTracing() }
-func (s *treeStore) TracingEnabled() bool   { return s.tree.TraceRecorder() != nil }
-func (s *treeStore) Barrier()               { s.rec.Barrier() }
-func (s *treeStore) Close()                 { s.rec.Close() }
-
-func (s *treeStore) DumpTrace() citrustrace.Trace { return s.tree.DumpTrace() }
-
-func (s *treeStore) ShardObs() []shardObs {
-	return []shardObs{{Tree: s.tree.Stats(), Reclaim: s.rec.Stats()}}
-}
-
-func (s *treeStore) Metrics() map[string]any {
-	return map[string]any{
-		"tree":      s.tree.Stats(),
-		"rcu":       flavorStats(s.dom),
-		"reclaimer": s.rec.Stats(),
-	}
-}
-
-// forestStore is the sharded backend: a citrus.Forest whose shards
-// each own a domain and a reclaimer, so a stalled reader in one shard
-// leaves the siblings' grace periods — and their reclamation — live.
-// Every shard domain gets the same stall detector and every shard
-// reclaimer the same watermarks the single tree would have had.
-type forestStore struct {
-	f *citrus.Forest[int64, string]
-}
-
-func newForestStore(cfg kvConfig, onStall func(shard int, r rcu.StallReport)) *forestStore {
-	newFlavor, err := newRCUFlavor(cfg.flavor)
-	if err != nil {
-		panic(err) // main validated the name before building the config
+		return nil, err
 	}
 	f := citrus.NewForest[int64, string](cfg.shards,
 		citrus.WithShardFlavor[int64](newFlavor),
@@ -219,64 +73,23 @@ func newForestStore(cfg kvConfig, onStall func(shard int, r rcu.StallReport)) *f
 	for i := 0; i < f.NumShards(); i++ {
 		armStallDetector(f.Flavor(i), cfg, i, onStall)
 	}
-	return &forestStore{f: f}
+	return f, nil
 }
 
-func (s *forestStore) NewHandle() storeHandle { return s.f.NewHandle() }
-func (s *forestStore) Len() int               { return s.f.Len() }
-func (s *forestStore) CheckInvariants() error { return s.f.CheckInvariants() }
-func (s *forestStore) Stats() citrus.Stats    { return s.f.Stats().Total }
-func (s *forestStore) EnableTracing()         { s.f.EnableTracing() }
-func (s *forestStore) TracingEnabled() bool   { return s.f.TraceRecorder(0) != nil }
-func (s *forestStore) Barrier()               { s.f.Barrier() }
-func (s *forestStore) Close()                 { s.f.Close() }
-
-func (s *forestStore) DumpTrace() citrustrace.Trace { return s.f.DumpTrace() }
-
-func (s *forestStore) ShardObs() []shardObs {
-	fs := s.f.Stats()
-	obs := make([]shardObs, len(fs.Shards))
-	for i := range fs.Shards {
-		obs[i] = shardObs{Tree: fs.Shards[i], Reclaim: fs.Reclaim[i]}
-	}
-	return obs
-}
-
-func (s *forestStore) ActiveStalls() int64 {
-	var n int64
-	for i := 0; i < s.f.NumShards(); i++ {
-		n += flavorStats(s.f.Flavor(i)).ActiveStalls
-	}
-	return n
-}
-
-func (s *forestStore) MaxQueueDepth() int64 {
-	var deepest int64
-	for i := 0; i < s.f.NumShards(); i++ {
-		if d := s.f.Reclaimer(i).QueueDepth(); d > deepest {
-			deepest = d
-		}
-	}
-	return deepest
-}
-
-func (s *forestStore) QueueDepth() int64 {
-	var n int64
-	for i := 0; i < s.f.NumShards(); i++ {
-		n += s.f.Reclaimer(i).QueueDepth()
-	}
-	return n
-}
-
-func (s *forestStore) Metrics() map[string]any {
-	fs := s.f.Stats()
-	return map[string]any{
-		// "tree" keeps the section name the unsharded server uses, so
-		// dashboards keyed on it read the fold; the per-shard truth is
-		// alongside.
-		"tree":       fs.Total,
-		"rcu":        fs.Total.RCU,
-		"shards":     fs.Shards,
-		"reclaimers": fs.Reclaim,
-	}
+// storeHandle is the per-connection view of the store: the subset of
+// citrus.ForestHandle the protocol uses. The forest's handle satisfies
+// it directly, and durableHandle wraps one to log its writes.
+type storeHandle interface {
+	Get(key int64) (string, bool)
+	Insert(key int64, value string) bool
+	DeleteCtx(ctx context.Context, key int64) (bool, error)
+	// RangeScanLimit is the bounded scan both faces serve: at most limit
+	// pairs, globally ascending and weakly consistent (every key present
+	// for the whole scan appears exactly once; keys updated concurrently
+	// may or may not be seen). With several shards it buffers at most
+	// limit pairs per shard however large the range is, which is why the
+	// server routes every capped scan through it rather than counting
+	// inside a plain RangeScan callback.
+	RangeScanLimit(lo, hi int64, limit int, fn func(key int64, value string) bool)
+	Close()
 }

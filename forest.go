@@ -274,6 +274,16 @@ func (f *Forest[K, V]) Len() int {
 	return n
 }
 
+// Height reports the height of the tallest shard. Quiescent use only,
+// like Tree.Height.
+func (f *Forest[K, V]) Height() int {
+	h := 0
+	for i := range f.shards {
+		h = max(h, f.shards[i].tree.Height())
+	}
+	return h
+}
+
 // Keys returns all keys in ascending global order; a full-range scan
 // through the handle scan path. Quiescent use only.
 func (f *Forest[K, V]) Keys() []K {
@@ -452,10 +462,15 @@ func (h *ForestHandle[K, V]) DeleteCtx(ctx context.Context, key K) (bool, error)
 // scan collects each shard's in-range pairs (each shard scanned inside
 // its own read-side critical section, weakly consistent like
 // Handle.RangeScan), sorts the union, and emits — O(result) memory and
-// the sort's O(r log r) time. Cross-shard consistency is exactly the
-// forest's usual none: each shard's slice reflects a different instant.
+// the sort's O(r log r) time. A one-shard forest streams instead, like
+// Handle.RangeScan. Cross-shard consistency is exactly the forest's
+// usual none: each shard's slice reflects a different instant.
 func (h *ForestHandle[K, V]) RangeScan(lo, hi K, fn func(key K, value V) bool) {
-	h.scan(&lo, &hi, fn)
+	if len(h.hs) == 1 {
+		h.hs[0].RangeScan(lo, hi, fn)
+		return
+	}
+	h.merge(fn, func(sh *core.Handle[K, V], emit func(K, V) bool) { sh.RangeScan(lo, hi, emit) })
 }
 
 // RangeScanLimit is RangeScan bounded to at most limit pairs: fn sees
@@ -466,41 +481,29 @@ func (h *ForestHandle[K, V]) RangeScan(lo, hi K, fn func(key K, value V) bool) {
 // global first limit, and the scan buffers O(limit × shards) pairs no
 // matter how large the range is — the memory bound plain RangeScan
 // with an early-stopping fn cannot give, since it has already collected
-// every shard's full result set by the time fn sees pair one. limit <=
-// 0 scans nothing.
+// every shard's full result set by the time fn sees pair one. A
+// one-shard forest buffers nothing. limit <= 0 scans nothing.
 func (h *ForestHandle[K, V]) RangeScanLimit(lo, hi K, limit int, fn func(key K, value V) bool) {
-	if limit <= 0 {
+	if len(h.hs) == 1 {
+		rangeScanLimit(h.hs[0], lo, hi, limit, fn)
 		return
 	}
-	type pair struct {
-		key   K
-		value V
-	}
-	pairs := make([]pair, 0, min(limit, 1024))
-	for _, sh := range h.hs {
-		n := 0
-		sh.RangeScan(lo, hi, func(k K, v V) bool {
-			pairs = append(pairs, pair{k, v})
-			n++
-			return n < limit
-		})
-	}
-	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.key, b.key) })
-	if len(pairs) > limit {
-		pairs = pairs[:limit]
-	}
-	for i := range pairs {
-		if !fn(pairs[i].key, pairs[i].value) {
-			return
-		}
-	}
+	n := 0
+	h.merge(func(k K, v V) bool {
+		n++
+		return n <= limit && fn(k, v)
+	}, func(sh *core.Handle[K, V], emit func(K, V) bool) { rangeScanLimit(sh, lo, hi, limit, emit) })
 }
 
 // Scan calls fn for every pair in ascending global key order, stopping
-// early when fn returns false. Collects every shard's pairs before
-// emitting — O(n) memory; see RangeScan.
+// early when fn returns false. With more than one shard it collects
+// every shard's pairs before emitting — O(n) memory; see RangeScan.
 func (h *ForestHandle[K, V]) Scan(fn func(key K, value V) bool) {
-	h.scan(nil, nil, fn)
+	if len(h.hs) == 1 {
+		h.hs[0].Scan(fn)
+		return
+	}
+	h.merge(fn, (*core.Handle[K, V]).Scan)
 }
 
 // ScanBatched is Scan with bounded reader dwell: each shard is
@@ -508,61 +511,33 @@ func (h *ForestHandle[K, V]) Scan(fn func(key K, value V) bool) {
 // critical section is dropped and re-entered every batch pairs, so a
 // long scan (a fuzzy snapshot of the whole forest, say) never parks a
 // shard's grace periods for its full duration. Memory and ordering
-// match Scan: every shard's pairs are collected, sorted, and emitted in
-// ascending global key order. The consistency is Scan's weak contract,
-// further loosened per shard by the batching (keys updated between a
-// shard's batches may be seen in neither or either state); see
-// Handle.ScanBatched.
+// match Scan: with more than one shard every shard's pairs are
+// collected, sorted, and emitted in ascending global key order. The
+// consistency is Scan's weak contract, further loosened per shard by
+// the batching (keys updated between a shard's batches may be seen in
+// neither or either state); see Handle.ScanBatched.
 func (h *ForestHandle[K, V]) ScanBatched(batch int, fn func(key K, value V) bool) {
-	type pair struct {
-		key   K
-		value V
+	if len(h.hs) == 1 {
+		h.hs[0].ScanBatched(batch, fn)
+		return
 	}
-	var pairs []pair
-	for _, sh := range h.hs {
-		sh.ScanBatched(batch, func(k K, v V) bool {
-			pairs = append(pairs, pair{k, v})
-			return true
-		})
-	}
-	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.key, b.key) })
-	for i := range pairs {
-		if !fn(pairs[i].key, pairs[i].value) {
-			return
-		}
-	}
+	h.merge(fn, func(sh *core.Handle[K, V], emit func(K, V) bool) { sh.ScanBatched(batch, emit) })
 }
 
-func (h *ForestHandle[K, V]) scan(lo, hi *K, fn func(K, V) bool) {
+// merge runs scan on every shard, sorts the union of what the shards
+// emitted, and hands it to fn in ascending key order until fn returns
+// false. Hash partitioning routes each key to exactly one shard, so the
+// union has no duplicates to filter.
+func (h *ForestHandle[K, V]) merge(fn func(K, V) bool, scan func(sh *core.Handle[K, V], emit func(K, V) bool)) {
 	type pair struct {
 		key   K
 		value V
 	}
 	var pairs []pair
-	collect := func(k K, v V) bool { pairs = append(pairs, pair{k, v}); return true }
 	for _, sh := range h.hs {
-		switch {
-		case lo != nil && hi != nil:
-			sh.RangeScan(*lo, *hi, collect)
-		case lo == nil && hi == nil:
-			sh.Scan(collect)
-		default:
-			// Mixed-bound scans (used by nothing today) fall back to a
-			// full shard scan with a bound filter.
-			sh.Scan(func(k K, v V) bool {
-				if lo != nil && cmp.Less(k, *lo) {
-					return true
-				}
-				if hi != nil && !cmp.Less(k, *hi) {
-					return true
-				}
-				return collect(k, v)
-			})
-		}
+		scan(sh, func(k K, v V) bool { pairs = append(pairs, pair{k, v}); return true })
 	}
 	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.key, b.key) })
-	// Hash partitioning routes each key to exactly one shard, so the
-	// merged slice has no duplicates to filter.
 	for i := range pairs {
 		if !fn(pairs[i].key, pairs[i].value) {
 			return

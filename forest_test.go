@@ -455,6 +455,26 @@ func TestForestSingleShard(t *testing.T) {
 	}
 }
 
+// A one-shard forest passes its shard's stream straight through: a
+// batched scan that stops at the first pair reads one batch, not the
+// whole shard into a sort buffer.
+func TestForestOneShardScanStreams(t *testing.T) {
+	f := NewForest[int, int](1)
+	defer f.Close()
+	h := f.NewHandle()
+	defer h.Close()
+	for _, k := range rand.New(rand.NewSource(1)).Perm(10000) {
+		h.Insert(k, k)
+	}
+	h.ScanBatched(512, func(int, int) bool { return false })
+	if got := f.Stats().Total.ScanPairs; got > 512 {
+		t.Fatalf("a scan stopped at its first pair emitted %d pairs, want ≤ 512", got)
+	}
+	if got := f.Height(); got < 14 || got > 60 {
+		t.Fatalf("Height = %d for 10000 random-order keys, want a random-BST depth", got)
+	}
+}
+
 func TestForestTracingMergedDump(t *testing.T) {
 	f := NewForest[int, int](4)
 	defer f.Close()
