@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build test race bench figures figures-paper bench-forest bench-scan bench-am bench-wal loadtest torture torture-smoke torture-stall torture-forest torture-scan torture-ebr torture-crash fuzz vet fmt clean
+.PHONY: all ci build test race bench figures figures-paper bench-forest bench-scan bench-am bench-wal bench-kvserver loadtest torture torture-smoke torture-stall torture-forest torture-scan torture-ebr torture-crash fuzz vet fmt clean
 
 all: build vet test
 
@@ -168,6 +168,12 @@ bench-wal:
 	$(GO) test -bench 'BenchmarkWAL' -benchmem ./internal/wal
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRecover' -benchmem ./internal/snapshot
 
+# One TCP request through kvserver's protocol handler on a one-shard
+# server holding 1e5 keys: a GET hit and miss, a SET of an existing key
+# and a 100-pair SCAN page, each with its allocations.
+bench-kvserver:
+	$(GO) test -run '^$$' -bench 'BenchmarkExecTCP' -benchmem -benchtime 20000x ./examples/kvserver
+
 # The age–memory figure behind BENCH_PR9.json: reclaimer backlog depth
 # and oldest-callback age sampled against throughput, across the three
 # RCU flavors × three watermark settings. Every cell records its
@@ -188,13 +194,14 @@ bench-scan:
 # and of the inputs kvserver reads from the disk and the TCP face: WAL
 # recovery over torn and garbage segments, snapshot loading over
 # arbitrary file bytes, WAL record decoding, and the TCP line protocol
-# against a sequential model.
+# and the HTTP /kv face against a sequential model.
 fuzz:
 	$(GO) test -fuzz=FuzzOpsAgainstOracle -fuzztime 60s ./internal/core
 	$(GO) test -run FuzzWALRecover -fuzz=FuzzWALRecover -fuzztime 20s ./internal/wal
 	$(GO) test -run FuzzSnapshotLoad -fuzz=FuzzSnapshotLoad -fuzztime 20s ./internal/snapshot
 	$(GO) test -run FuzzDecodeRecord -fuzz=FuzzDecodeRecord -fuzztime 20s ./examples/kvserver
 	$(GO) test -run FuzzExecVerb -fuzz=FuzzExecVerb -fuzztime 20s ./examples/kvserver
+	$(GO) test -run FuzzHTTPKV -fuzz=FuzzHTTPKV -fuzztime 20s ./examples/kvserver
 
 clean:
 	rm -f bench_results.csv bench_smoke.json BENCH_scan_smoke.json test_output.txt bench_output.txt citrustorture*.json /tmp/kvserver-crash

@@ -2,7 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"path"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -115,6 +122,170 @@ func predictReply(m *seqbst.Tree[int64, string], line string) (reply string, qui
 		return "BYE", true
 	}
 	return "", false
+}
+
+// FuzzHTTPKV sends a fuzzed method, /kv/ path suffix and body, twice,
+// and a range scan with a fuzzed query string through the HTTP face of
+// a one-shard in-memory server that holds a few pairs, and checks every
+// answer against a sequential model: GET, PUT and DELETE on /kv/{key}
+// answer the model's status and body, GET /kv?from=&to=&limit= answers
+// the model's pairs with "truncated" exact, malformed keys, bounds and
+// limits answer 400, and nothing answers 5xx. A path the mux must clean
+// first is redirected and changes nothing. Shedding is off, as in
+// FuzzExecVerb.
+//
+//	go test -run FuzzHTTPKV -fuzz FuzzHTTPKV -fuzztime 20s ./examples/kvserver
+func FuzzHTTPKV(f *testing.F) {
+	f.Add("GET", "5", "from=0&to=10&limit=2", []byte(nil))
+	f.Add("PUT", "11", "", []byte("eleven"))
+	f.Add("PUT", "-3", "to=0", []byte("a\nEND 0"))
+	f.Add("POST", "+7", "from=-9223372036854775808&to=9223372036854775807&limit=1001", []byte("tab\tand  spaces"))
+	f.Add("DELETE", "5", "limit=1000", []byte(nil))
+	f.Add("PATCH", "x", "from=x", []byte("v"))
+	f.Add("GET", "%31%33", "limit=0&to=", []byte(nil))
+	f.Add("PUT", "1/../2", "limit=-1&from=9223372036854775808", []byte("v"))
+	f.Add("PUT", "12", "from=12&to=13", []byte("\xff\xfe"))
+	f.Fuzz(func(t *testing.T, method, suffix, query string, body []byte) {
+		cfg := defaultKVConfig()
+		cfg.demo = false
+		cfg.stallTimeout = 0
+		cfg.recHigh = 0
+		s := newServer(cfg)
+		defer s.close()
+		h := s.newHandle()
+		defer h.Close()
+		model := seqbst.New[int64, string]()
+		for _, k := range []int64{-3, 0, 1, 2, 5, 8, 13} {
+			v := fmt.Sprintf("v%d with\tspace", k)
+			h.Insert(k, v)
+			model.Insert(k, v)
+		}
+		mux := s.statsMux()
+		serve := func(req *http.Request) *httptest.ResponseRecorder {
+			t.Helper()
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, req)
+			if rec.Code >= 500 {
+				t.Fatalf("%s %s: status %d %q", req.Method, req.URL, rec.Code, rec.Body)
+			}
+			return rec
+		}
+
+		for range 2 {
+			req, err := http.NewRequest(method, "http://kv.test/kv/"+suffix, bytes.NewReader(body))
+			if err != nil {
+				t.Skip()
+			}
+			rec := serve(req)
+			if rec.Code/100 == 3 {
+				if p := req.URL.Path; p == path.Clean(p) {
+					t.Fatalf("%s %s: redirected (%d) a clean path", req.Method, req.URL, rec.Code)
+				}
+				continue
+			}
+			code, val := predictKV(model, req.Method, strings.TrimPrefix(req.URL.Path, "/kv/"), body)
+			if rec.Code != code || (code == http.StatusOK && rec.Body.String() != val) {
+				t.Fatalf("%s %s with body %q: status %d body %q, want %d %q", req.Method, req.URL, body, rec.Code, rec.Body, code, val)
+			}
+		}
+
+		req, err := http.NewRequest("GET", "http://kv.test/kv?"+query, nil)
+		if err != nil {
+			t.Skip()
+		}
+		checkScan(t, model, req.URL.Query(), serve(req))
+		req = httptest.NewRequest("GET", "/kv?limit=1000", nil)
+		checkScan(t, model, req.URL.Query(), serve(req))
+	})
+}
+
+// predictKV applies one /kv/{key} request to the model and returns the
+// status a correct server answers, and for a 200 the body.
+func predictKV(m *seqbst.Tree[int64, string], method, key string, body []byte) (int, string) {
+	k, err := strconv.ParseInt(key, 10, 64)
+	if err != nil {
+		return http.StatusBadRequest, ""
+	}
+	switch method {
+	case http.MethodGet:
+		if v, ok := m.Contains(k); ok {
+			return http.StatusOK, v
+		}
+		return http.StatusNotFound, ""
+	case http.MethodPut, http.MethodPost:
+		switch {
+		case len(body) > 1<<20:
+			return http.StatusRequestEntityTooLarge, ""
+		case bytes.ContainsAny(body, "\r\n"):
+			return http.StatusBadRequest, ""
+		case m.Insert(k, string(body)):
+			return http.StatusCreated, ""
+		}
+		return http.StatusConflict, ""
+	case http.MethodDelete:
+		if m.Delete(k) {
+			return http.StatusOK, ""
+		}
+		return http.StatusNotFound, ""
+	}
+	return http.StatusMethodNotAllowed, ""
+}
+
+// checkScan checks one GET /kv answer against the model's range for its
+// query: 400 for a malformed bound or limit, else the model's first
+// limit pairs of [from, to) and "truncated" exactly when more exist.
+// JSON strings carry only UTF-8, so each model value is compared after
+// the same round trip through encoding/json.
+func checkScan(t *testing.T, m *seqbst.Tree[int64, string], q url.Values, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	bound := func(name string, def int64) (int64, bool) {
+		if v := q.Get(name); v != "" {
+			n, err := strconv.ParseInt(v, 10, 64)
+			return n, err == nil
+		}
+		return def, true
+	}
+	from, okFrom := bound("from", math.MinInt64)
+	to, okTo := bound("to", math.MaxInt64)
+	limit, okLimit := 100, true
+	if v := q.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		limit, okLimit = min(n, maxScanResults), err == nil && n > 0
+	}
+	if !okFrom || !okTo || !okLimit {
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("GET /kv?%s: status %d, want 400", q.Encode(), rec.Code)
+		}
+		return
+	}
+	type pair struct {
+		Key   int64  `json:"key"`
+		Value string `json:"value"`
+	}
+	var want []pair
+	m.RangeScan(from, to, func(k int64, v string) bool {
+		enc, _ := json.Marshal(v)
+		json.Unmarshal(enc, &v) //nolint:errcheck // encoding/json reads back what it wrote
+		want = append(want, pair{k, v})
+		return len(want) <= limit
+	})
+	truncated := len(want) > limit
+	want = want[:min(len(want), limit)]
+	var got struct {
+		Count     int    `json:"count"`
+		Truncated bool   `json:"truncated"`
+		Pairs     []pair `json:"pairs"`
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /kv?%s: status %d %q", q.Encode(), rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatalf("GET /kv?%s: %v", q.Encode(), err)
+	}
+	if got.Count != len(want) || got.Truncated != truncated || !slices.Equal(got.Pairs, want) {
+		t.Fatalf("GET /kv?%s = %d pairs, truncated %v: %v\nwant %d, truncated %v: %v",
+			q.Encode(), got.Count, got.Truncated, got.Pairs, len(want), truncated, want)
+	}
 }
 
 // FuzzDecodeRecord feeds arbitrary WAL payloads to decodeRecord: it

@@ -18,6 +18,13 @@
 //	LEN                 → LEN <n>        (quiescent use only)
 //	QUIT                → BYE
 //
+// Verbs are case-insensitive. A request ends at "\n" or "\r\n", and
+// every reply line ends at "\n". A request line may be at most 65536
+// bytes, its line ending included: a longer one is answered
+// "ERR line too long (max 65536 bytes)" and the connection is closed,
+// because the rest of that line cannot be told apart from the requests
+// behind it. Each reply leaves in one write once it is complete.
+//
 // Every connection is served by its own goroutine with its own tree
 // handle, so GETs from all connections proceed wait-free while SETs and
 // DELs from different connections update the tree concurrently — the
@@ -29,7 +36,10 @@
 //
 //	/kv/{key}      → GET / PUT / DELETE the key over HTTP, with
 //	                 per-request deadlines (-optimeout); writes are shed
-//	                 with 503 + Retry-After while the server is degraded
+//	                 with 503 + Retry-After while the server is degraded.
+//	                 PUT answers 413 for a body over 1 MiB and 400 for a
+//	                 value holding "\n" or "\r", which the TCP face
+//	                 could not answer on one line; neither stores anything
 //	/kv?from=&to=&limit=
 //	               → GET range scan over [from, to): a JSON document of
 //	                 pairs in ascending key order, at most limit
@@ -50,8 +60,9 @@
 //	                 (-trace); ?format=chrome serves the Chrome
 //	                 trace_event form for chrome://tracing / Perfetto
 //	/debug/pprof/  → standard net/http/pprof: CPU and heap profiles,
-//	                 goroutine dumps (labeled with op=SET/GET/DEL per
-//	                 in-flight command), mutex and block profiles when
+//	                 goroutine dumps (each in-flight TCP command labeled
+//	                 op=SET/GET/DEL/SCAN/LEN/QUIT, or op=OTHER for any
+//	                 other verb), mutex and block profiles when
 //	                 enabled via -mutexprofilefraction/-blockprofilerate,
 //	                 and the runtime execution tracer (/debug/pprof/trace),
 //	                 in which RCU grace periods appear as
@@ -75,6 +86,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -554,9 +566,19 @@ func (s *server) serveKV(w http.ResponseWriter, r *http.Request) {
 		if shed() {
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+		var tooLarge *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooLarge):
+			http.Error(w, fmt.Sprintf("value longer than %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+			return
+		case err != nil:
 			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		case bytes.ContainsAny(body, "\r\n"):
+			// The TCP face answers one line per value; a line break would
+			// split a reply in two and shift every later one.
+			http.Error(w, "value contains a line break", http.StatusBadRequest)
 			return
 		}
 		if !h.Insert(key, string(body)) {
@@ -683,7 +705,14 @@ func (s *server) serveTrace(w http.ResponseWriter, r *http.Request) {
 	tr.WriteJSON(w) //nolint:errcheck // best-effort over HTTP
 }
 
+// maxKeptReply bounds the reply buffer a connection keeps between
+// requests: a buffer that one reply grew past it (a wide SCAN page, a
+// large value) is dropped rather than held for the connection's life.
+const maxKeptReply = 64 << 10
+
 // handle serves one connection with its own per-goroutine tree handle.
+// Each reply is appended to one buffer the connection reuses and goes
+// out in one write.
 func (s *server) handle(conn net.Conn) {
 	defer conn.Close()
 	s.conns.Add(1)
@@ -691,39 +720,73 @@ func (s *server) handle(conn net.Conn) {
 	defer h.Close()
 
 	sc := bufio.NewScanner(conn)
-	out := bufio.NewWriter(conn)
-	defer out.Flush()
+	var buf []byte
 	for sc.Scan() {
-		reply, quit := s.exec(h, sc.Text())
-		fmt.Fprintln(out, reply)
-		if quit {
+		reply, quit := s.appendReply(buf[:0], h, sc.Text())
+		reply = append(reply, '\n')
+		if _, err := conn.Write(reply); err != nil || quit {
 			return
 		}
-		if err := out.Flush(); err != nil {
-			return
+		buf = reply
+		if cap(buf) > maxKeptReply {
+			buf = nil
+		}
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		// The rest of the over-long line is still in the stream, and no
+		// later byte can be told apart from it: answer, then close. The
+		// half-close puts a FIN behind the answer, so the client reads it
+		// and then EOF before the reset that closing a socket with unread
+		// input sends.
+		log.Printf("kvserver: %v: line longer than %d bytes; closing the connection", conn.RemoteAddr(), bufio.MaxScanTokenSize)
+		fmt.Fprintf(conn, "ERR line too long (max %d bytes)\n", bufio.MaxScanTokenSize) //nolint:errcheck // closing either way
+		if tc, ok := conn.(*net.TCPConn); ok {
+			tc.CloseWrite() //nolint:errcheck // closing either way
 		}
 	}
 }
 
-// exec executes one protocol line. The goroutine carries an op=<verb>
-// pprof label for the duration, so goroutine and CPU profiles break
-// down by command type (go tool pprof -tags).
-func (s *server) exec(h storeHandle, line string) (reply string, quit bool) {
+// opLabels holds one pprof label context per verb, built once, so
+// labeling a request allocates nothing; any other verb runs as
+// op=OTHER.
+var opLabels = func() map[string]context.Context {
+	m := make(map[string]context.Context)
+	for _, op := range []string{"SET", "GET", "DEL", "SCAN", "LEN", "QUIT", "OTHER"} {
+		m[op] = rpprof.WithLabels(context.Background(), rpprof.Labels("op", op))
+	}
+	return m
+}()
+
+// exec executes one protocol line and returns its reply.
+func (s *server) exec(h storeHandle, line string) (string, bool) {
+	reply, quit := s.appendReply(nil, h, line)
+	return string(reply), quit
+}
+
+// appendReply executes one protocol line and appends its reply, without
+// the newline, to dst. The goroutine carries an op=<verb> pprof label
+// for the duration, so goroutine and CPU profiles break down by command
+// type (go tool pprof -tags).
+func (s *server) appendReply(dst []byte, h storeHandle, line string) ([]byte, bool) {
 	s.ops.Add(1)
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
-		return "ERR empty command", false
+		return append(dst, "ERR empty command"...), false
 	}
 	verb := strings.ToUpper(fields[0])
+	labels, ok := opLabels[verb]
+	if !ok {
+		labels = opLabels["OTHER"]
+	}
 	start := time.Now()
-	rpprof.Do(context.Background(), rpprof.Labels("op", verb), func(context.Context) {
-		reply, quit = s.execVerb(h, verb, fields)
-	})
+	rpprof.SetGoroutineLabels(labels)
+	dst, quit := s.execVerb(dst, h, verb, fields)
+	rpprof.SetGoroutineLabels(context.Background())
 	s.lat.record("tcp", verb, start)
-	return reply, quit
+	return dst, quit
 }
 
-func (s *server) execVerb(h storeHandle, verb string, fields []string) (reply string, quit bool) {
+func (s *server) execVerb(dst []byte, h storeHandle, verb string, fields []string) ([]byte, bool) {
 	parseKey := func() (int64, error) {
 		if len(fields) < 2 {
 			return 0, errors.New("missing key")
@@ -733,43 +796,43 @@ func (s *server) execVerb(h storeHandle, verb string, fields []string) (reply st
 	// Writes are shed while degraded; reads always serve. BUSY tells the
 	// client to back off and retry — the degradation is load- or
 	// stall-induced and clears on its own (see /healthz for why).
-	shed := func() (string, bool) {
-		deg, _ := s.degraded()
-		if deg {
+	shed := func() bool {
+		if deg, _ := s.degraded(); deg {
 			s.shedWrites.Add(1)
-			return "BUSY degraded, retry later", true
+			return true
 		}
-		return "", false
+		return false
 	}
+	const busy = "BUSY degraded, retry later"
 	switch verb {
 	case "SET":
 		key, err := parseKey()
 		if err != nil || len(fields) < 3 {
-			return "ERR usage: SET <key> <value>", false
+			return append(dst, "ERR usage: SET <key> <value>"...), false
 		}
-		if reply, busy := shed(); busy {
-			return reply, false
+		if shed() {
+			return append(dst, busy...), false
 		}
 		if h.Insert(key, strings.Join(fields[2:], " ")) {
-			return "OK", false
+			return append(dst, "OK"...), false
 		}
-		return "EXISTS", false
+		return append(dst, "EXISTS"...), false
 	case "GET":
 		key, err := parseKey()
 		if err != nil {
-			return "ERR usage: GET <key>", false
+			return append(dst, "ERR usage: GET <key>"...), false
 		}
 		if v, ok := h.Get(key); ok {
-			return "VALUE " + v, false
+			return append(append(dst, "VALUE "...), v...), false
 		}
-		return "NOT_FOUND", false
+		return append(dst, "NOT_FOUND"...), false
 	case "DEL":
 		key, err := parseKey()
 		if err != nil {
-			return "ERR usage: DEL <key>", false
+			return append(dst, "ERR usage: DEL <key>"...), false
 		}
-		if reply, busy := shed(); busy {
-			return reply, false
+		if shed() {
+			return append(dst, busy...), false
 		}
 		ctx, cancel := s.writeCtx()
 		defer cancel()
@@ -779,46 +842,47 @@ func (s *server) execVerb(h storeHandle, verb string, fields []string) (reply st
 			// The delete took effect; only the grace-period wait timed
 			// out, and cleanup finishes in the background. Still OK.
 			s.gpTimeouts.Add(1)
-			return "OK", false
+			return append(dst, "OK"...), false
 		case derr != nil:
-			return "TIMEOUT deadline before delete took effect", false
+			return append(dst, "TIMEOUT deadline before delete took effect"...), false
 		case ok:
-			return "OK", false
+			return append(dst, "OK"...), false
 		}
-		return "NOT_FOUND", false
+		return append(dst, "NOT_FOUND"...), false
 	case "SCAN":
 		// A read: never shed, like GET. The reply is multi-line — one KEY
-		// line per pair, then END <count> — buffered fully before the
-		// connection writer flushes it, so the read-side critical section
-		// never waits on the network.
-		usage := "ERR usage: SCAN <lo> <hi> <n>"
+		// line per pair, then END <count> — and is complete in the
+		// connection's buffer before any byte reaches the socket, so the
+		// read-side critical section never waits on the network.
+		const usage = "ERR usage: SCAN <lo> <hi> <n>"
 		if len(fields) != 4 {
-			return usage, false
+			return append(dst, usage...), false
 		}
 		lo, err1 := strconv.ParseInt(fields[1], 10, 64)
 		hi, err2 := strconv.ParseInt(fields[2], 10, 64)
 		n, err3 := strconv.Atoi(fields[3])
 		if err1 != nil || err2 != nil || err3 != nil || n <= 0 {
-			return usage, false
+			return append(dst, usage...), false
 		}
 		if n > maxScanResults {
 			n = maxScanResults
 		}
-		var b strings.Builder
-		count := 0
+		// The callback captures page, not dst, so only a SCAN moves its
+		// buffer's header to the heap.
+		page, count := dst, 0
 		h.RangeScanLimit(lo, hi, n, func(k int64, v string) bool {
-			fmt.Fprintf(&b, "KEY %d %s\n", k, v)
+			page = append(strconv.AppendInt(append(page, "KEY "...), k, 10), ' ')
+			page = append(append(page, v...), '\n')
 			count++
 			return true
 		})
-		fmt.Fprintf(&b, "END %d", count)
-		return b.String(), false
+		return strconv.AppendInt(append(page, "END "...), int64(count), 10), false
 	case "LEN":
-		return fmt.Sprintf("LEN %d", s.forest.Len()), false
+		return strconv.AppendInt(append(dst, "LEN "...), int64(s.forest.Len()), 10), false
 	case "QUIT":
-		return "BYE", true
+		return append(dst, "BYE"...), true
 	default:
-		return "ERR unknown command " + fields[0], false
+		return append(append(dst, "ERR unknown command "...), fields[0]...), false
 	}
 }
 

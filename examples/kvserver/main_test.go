@@ -384,6 +384,53 @@ func TestKVEndpoint(t *testing.T) {
 	}
 }
 
+// TestKVEndpointValues pins what HTTP PUT stores: a body of exactly
+// 1 MiB is stored whole, a longer one is refused with 413 and stores
+// nothing, and a value with a line break is refused with 400, so the
+// TCP face, which answers one line per value, never sees one. Inner
+// spaces and tabs round-trip on both faces.
+func TestKVEndpointValues(t *testing.T) {
+	s, h := newTestServer()
+	defer h.Close()
+	mux := s.statsMux()
+	do := func(method, path, body string) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	mib := strings.Repeat("m", 1<<20)
+	if rec := do("PUT", "/kv/1", mib); rec.Code != http.StatusCreated {
+		t.Fatalf("PUT of 1 MiB: status %d %s", rec.Code, rec.Body)
+	}
+	if rec := do("GET", "/kv/1", ""); rec.Code != http.StatusOK || rec.Body.String() != mib {
+		t.Fatalf("GET of the 1 MiB value: status %d, %d bytes", rec.Code, rec.Body.Len())
+	}
+	if rec := do("PUT", "/kv/2", mib+"m"); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("PUT of 1 MiB + 1 byte: status %d, want 413", rec.Code)
+	}
+	if rec := do("GET", "/kv/2", ""); rec.Code != http.StatusNotFound {
+		t.Fatalf("GET after the refused PUT: status %d, want 404", rec.Code)
+	}
+	for key, body := range map[int]string{6: "a\nEND 0", 7: "a\rb", 9: "line\r\n"} {
+		if rec := do("PUT", fmt.Sprintf("/kv/%d", key), body); rec.Code != http.StatusBadRequest {
+			t.Fatalf("PUT /kv/%d of %q: status %d, want 400", key, body, rec.Code)
+		}
+	}
+	const spaced = " inner spaces\tand  tabs\t"
+	if rec := do("PUT", "/kv/8", spaced); rec.Code != http.StatusCreated {
+		t.Fatalf("PUT /kv/8: status %d", rec.Code)
+	}
+	if rec := do("GET", "/kv/8", ""); rec.Body.String() != spaced {
+		t.Fatalf("GET /kv/8 = %q, want %q", rec.Body.String(), spaced)
+	}
+
+	c := dialTCP(t, serveTCP(t, s))
+	send(t, c, "GET 6\nGET 7\nGET 8\nSCAN 2 20 10\n")
+	expectBytes(t, c, "TCP face after the refused PUTs",
+		"NOT_FOUND\nNOT_FOUND\nVALUE "+spaced+"\nKEY 8 "+spaced+"\nEND 1\n")
+}
+
 // TestServerEndToEndSharded runs the full demo — listener, concurrent
 // TCP clients, reply verification, invariant check — against the
 // forest backend: same protocol, same replies, keys spread across
