@@ -2,14 +2,16 @@
 
 GO ?= go
 
-.PHONY: all ci build test race bench figures figures-paper bench-forest bench-scan bench-am bench-wal bench-kvserver loadtest torture torture-smoke torture-stall torture-forest torture-scan torture-ebr torture-crash fuzz vet fmt clean
+.PHONY: all ci build test race bench figures figures-paper bench-forest bench-scan bench-wal bench-kvserver loadtest torture torture-smoke torture-stall torture-forest torture-scan torture-ebr torture-crash fuzz vet fmt clean
 
 all: build vet test
 
 # What CI runs (see .github/workflows/ci.yml): build, vet, full test
 # suite, the race detector over the packages with the most
 # concurrency-sensitive invariants (including the citrustrace rings and
-# the public tracing toggles), a GOMAXPROCS=4 race pass over the forest
+# the public tracing toggles), 100 race iterations of the forest stats
+# fold (the test that deadlocked when forest shards reused retired
+# nodes), a GOMAXPROCS=4 race pass over the forest
 # and kvserver sharding paths, a short citrusbench smoke run that
 # exercises the -json report plus the a4 tracing-overhead and a5
 # grace-period-combining A/Bs, the committed BENCH_PR4.json combining
@@ -19,8 +21,7 @@ all: build vet test
 # scenario, the forest subject with its shard-isolation control, the
 # scanstorm/scanhog scan pair with the s1 scan-figure bench smoke, and
 # the epoch-flavor pair: a 10-seed ebr race sweep plus the inverted
-# ebrearly negative control, with the am age-memory bench behind
-# BENCH_PR9.json, and the crash-torture sweep: kill–recover–verify
+# ebrearly negative control, and the crash-torture sweep: kill–recover–verify
 # against the WAL-backed kvserver with the inverted nofsync control
 # and the WAL recovery fuzzer).
 ci:
@@ -29,6 +30,7 @@ ci:
 	$(GO) test -timeout 300s ./...
 	$(GO) test -race ./rcu/... ./internal/core/... ./citrustrace/... ./internal/schedpoint/... ./internal/torture/...
 	$(GO) test -race -run 'Trace|Tracing' .
+	$(GO) test -race -run '^TestForestStatsFold$$' -count=100 -timeout 120s .
 	GOMAXPROCS=4 $(GO) test -race -run 'Forest|Sharded|Partition|Router' . ./internal/partition/... ./internal/impls/... ./examples/kvserver/...
 	$(GO) run ./cmd/citrusbench -figure 10c,a4,a5 -quick -impl Citrus -json bench_smoke.json -note "CI smoke"
 	$(GO) run ./cmd/citrusbench -figure 10c,a5 -threads 1,2,4,8,16 -impl Citrus -json BENCH_PR4.json -note "CI combining ablation"
@@ -41,7 +43,6 @@ ci:
 	$(MAKE) torture-ebr
 	$(MAKE) torture-crash
 	$(MAKE) bench-scan
-	$(MAKE) bench-am
 
 build:
 	$(GO) build ./...
@@ -92,16 +93,16 @@ loadtest:
 	RC=$$?; kill $$KV_PID; exit $$RC
 
 # Seeded fault-injection torture (docs/VERIFICATION.md "Torture").
-# Long sweep: five seeds, 30s each, across both Citrus flavors plus a
-# recycling configuration. Failures print their reproduction seed.
+# Long sweep: five seeds, 30s each, across both Citrus flavors.
+# Failures print their reproduction seed.
 torture:
 	$(GO) run ./cmd/citrustorture -seed 1 -seeds 5 -duration 30s -json citrustorture.json
 	$(GO) run ./cmd/citrustorture -flavor classic -seed 1 -seeds 5 -duration 30s -json citrustorture-classic.json
-	$(GO) run ./cmd/citrustorture -recycle -seed 1 -seeds 5 -duration 30s -json citrustorture-recycle.json
 
 # CI-sized fixed-seed smoke: one correct-build run that must pass.
-# The negative controls (nosync, snapearly, ignoretags) run as tests in
-# internal/torture, so `go test ./...` already proves the harness bites.
+# The negative controls (nosync, snapearly, ebrearly) run as tests in
+# internal/torture, and the line-38 tag's (ignoretags) as internal/core's
+# TestTagDefeatsABA, so `go test ./...` already proves the checks bite.
 torture-smoke:
 	$(GO) run ./cmd/citrustorture -seed 1 -duration 2s -json citrustorture-smoke.json
 
@@ -163,7 +164,7 @@ torture-crash:
 # (docs/DURABILITY.md "fsync policies"): the group-commit knee is the
 # figure — fsyncs/append collapses as writers stack while always pays
 # one fsync per record. Then snapshot recovery: 30 000 ascending keys
-# loaded into a recycling tree, with the height the load built.
+# loaded into a tree, with the height the load built.
 bench-wal:
 	$(GO) test -bench 'BenchmarkWAL' -benchmem ./internal/wal
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRecover' -benchmem ./internal/snapshot
@@ -173,14 +174,6 @@ bench-wal:
 # and a 100-pair SCAN page, each with its allocations.
 bench-kvserver:
 	$(GO) test -run '^$$' -bench 'BenchmarkExecTCP' -benchmem -benchtime 20000x ./examples/kvserver
-
-# The age–memory figure behind BENCH_PR9.json: reclaimer backlog depth
-# and oldest-callback age sampled against throughput, across the three
-# RCU flavors × three watermark settings. Every cell records its
-# effective GOMAXPROCS; on a 1-CPU box the thread axis measures
-# timesharing and the JSON marks those cells with a caveat.
-bench-am:
-	$(GO) run ./cmd/citrusbench -figure am -threads 1,4,8 -json BENCH_PR9.json -note "age-memory flavor sweep"
 
 # The scan figure behind BENCH_PR8.json: range scans as first-class ops
 # racing structural churn (s1: 30% scans / 70% updates; s2: 90% scans),

@@ -286,62 +286,19 @@ func BenchmarkAblationSkew(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRecycling compares churn cost and allocations with
-// and without node recycling (the §7 reclamation extension): the
-// recycling variant should shed roughly one allocation per insert once
-// the pool warms up.
-func BenchmarkAblationRecycling(b *testing.B) {
-	churn := func(b *testing.B, h interface {
-		Insert(int, int) bool
-		Delete(int) bool
-	}) {
-		b.Helper()
-		for k := 0; k < 128; k++ {
-			h.Insert(k, k)
-		}
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			k := i % 128
-			h.Delete(k)
-			h.Insert(k, i)
-		}
-	}
-	b.Run("GC-only", func(b *testing.B) {
-		tree := citrus.New[int, int]()
-		h := tree.NewHandle()
-		defer h.Close()
-		churn(b, h)
-	})
-	b.Run("Recycling", func(b *testing.B) {
-		dom := rcu.NewDomain()
-		rec := rcu.NewReclaimer(dom)
-		defer rec.Close()
-		tree := citrus.NewWithRecycling[int, int](dom, rec)
-		h := tree.NewHandle()
-		defer h.Close()
-		churn(b, h)
-	})
-}
-
 // oneShardSink keeps BenchmarkForestOneShard's reads observable.
 var oneShardSink int
 
 // BenchmarkForestOneShard prices routing through a one-shard Forest
 // against the Tree it replaces in kvserver, both built the same way
-// (recycling, one scalable domain, one reclaimer) over the same 30k
-// keys in the same random order, so the two hold identical tree
-// shapes. Get pays the forest's seeded hash; RangeScanLimit(100) and
+// (one scalable domain) over the same 30k keys in the same random
+// order, so the two hold identical tree shapes. Get pays the forest's seeded hash; RangeScanLimit(100) and
 // ScanBatched pass the shard's stream straight through, so with
 // -benchmem their B/op and allocs/op must equal the Tree's.
 func BenchmarkForestOneShard(b *testing.B) {
 	const n = 30000
-	dom := rcu.NewDomain()
-	rec := rcu.NewReclaimer(dom)
-	defer rec.Close()
-	tree := citrus.NewWithRecycling[int64, string](dom, rec)
+	tree := citrus.New[int64, string]()
 	forest := citrus.NewForest[int64, string](1)
-	defer forest.Close()
 	th, fh := tree.NewHandle(), forest.NewHandle()
 	defer th.Close()
 	defer fh.Close()

@@ -99,16 +99,13 @@ func NewWithFlavor[K cmp.Ordered, V any](flavor rcu.Flavor) *Tree[K, V] {
 	return &Tree[K, V]{inner: core.NewTree[K, V](flavor)}
 }
 
-// NewWithRecycling returns an empty tree that recycles unlinked nodes
-// through rec instead of leaving them to the garbage collector: deleted
-// nodes are pooled after an RCU grace period and reused by later
-// inserts, removing the per-insert allocation on churn-heavy workloads
-// (the memory-reclamation integration named as future work in §7 of the
-// paper). The reclaimer should be built on the same flavor; the caller
-// owns its lifecycle and should Close it after the tree is no longer
-// updated.
+// NewWithRecycling returns NewWithFlavor(flavor); rec is ignored.
+//
+// Deprecated: node recycling is gone, because a recycled node broke
+// Citrus's tree-order locking: unlinked nodes are left to the garbage
+// collector. Use NewWithFlavor.
 func NewWithRecycling[K cmp.Ordered, V any](flavor rcu.Flavor, rec *rcu.Reclaimer) *Tree[K, V] {
-	return &Tree[K, V]{inner: core.NewTreeWithRecycling[K, V](flavor, rec)}
+	return NewWithFlavor[K, V](flavor)
 }
 
 // NewHandle registers a handle for the calling goroutine. Handles are not
@@ -153,9 +150,6 @@ type Stats struct {
 	TwoChildDeletes int64 `json:"two_child_deletes"` // successor-relocation deletes = inline grace periods
 	DeleteTimeouts  int64 `json:"delete_timeouts"`   // DeleteCtx grace-period waits cut by the deadline
 
-	NodesRetired int64 `json:"nodes_retired"` // recycling only: nodes handed to the pool
-	NodesReused  int64 `json:"nodes_reused"`  // recycling only: pooled nodes reused by inserts
-
 	Scans        int64 `json:"scans"`         // RangeScan/Scan calls (batched or not)
 	ScanSections int64 `json:"scan_sections"` // read-side critical sections opened by scans
 	ScanPairs    int64 `json:"scan_pairs"`    // pairs emitted to scan callbacks
@@ -167,12 +161,12 @@ type Stats struct {
 	RCU *rcu.Stats `json:"rcu,omitempty"`
 }
 
-// Stats returns a snapshot of the tree's operation counters, recycling
-// effectiveness, and the underlying RCU domain's grace-period
-// statistics. It is safe to call at any time, from any goroutine,
-// concurrently with operations and handle churn; recording costs the
-// operations themselves two uncontended plain atomic accesses, so the
-// wait-free read side keeps its paper-guaranteed shape.
+// Stats returns a snapshot of the tree's operation counters and the
+// underlying RCU domain's grace-period statistics. It is safe to call
+// at any time, from any goroutine, concurrently with operations and
+// handle churn; recording costs the operations themselves two
+// uncontended plain atomic accesses, so the wait-free read side keeps
+// its paper-guaranteed shape.
 func (t *Tree[K, V]) Stats() Stats {
 	s := t.inner.Stats()
 	return Stats{
@@ -185,8 +179,6 @@ func (t *Tree[K, V]) Stats() Stats {
 		DeleteRetries:   s.DeleteRetries,
 		TwoChildDeletes: s.TwoChildDeletes,
 		DeleteTimeouts:  s.DeleteTimeouts,
-		NodesRetired:    s.NodesRetired,
-		NodesReused:     s.NodesReused,
 		Scans:           s.Scans,
 		ScanSections:    s.ScanSections,
 		ScanPairs:       s.ScanPairs,
@@ -198,7 +190,7 @@ func (t *Tree[K, V]) Stats() Stats {
 // EnableTracing attaches a fresh flight recorder to the tree and
 // returns it: from now on every operation records typed events
 // (operation spans, contended per-node lock waits, validation retries,
-// retire/reclaim) into per-handle ring buffers, and — when the tree's
+// node retirement) into per-handle ring buffers, and — when the tree's
 // RCU flavor supports it (rcu.Domain and rcu.ClassicDomain do) — the
 // flavor records grace-period spans with a per-reader wait breakdown.
 // See package citrustrace for the event taxonomy and the ring-buffer

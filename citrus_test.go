@@ -112,26 +112,6 @@ func ExampleTree() {
 	// keys: [1 3]
 }
 
-func ExampleNewWithRecycling() {
-	dom := rcu.NewDomain()
-	rec := rcu.NewReclaimer(dom)
-	defer rec.Close()
-
-	tree := citrus.NewWithRecycling[int, int](dom, rec)
-	h := tree.NewHandle()
-	defer h.Close()
-
-	// Churn: deleted nodes are pooled after a grace period and reused.
-	for i := 0; i < 1000; i++ {
-		h.Insert(i%8, i)
-		h.Delete(i % 8)
-	}
-	rec.Barrier() // all retirements processed
-	fmt.Println("len:", tree.Len())
-	// Output:
-	// len: 0
-}
-
 func TestPublicAPIWithEpochFlavor(t *testing.T) {
 	tree := citrus.NewWithFlavor[int, int](rcu.NewEpochDomain())
 	var wg sync.WaitGroup

@@ -13,7 +13,7 @@ import (
 //
 // Mapping: every ring becomes one named thread (pid 1), so each tree
 // handle's operations render as their own track, with the domain's
-// grace-period ring ("rcu") and the reclaimer ring alongside. Span
+// grace-period ring ("rcu") alongside. Span
 // events become complete events (ph "X" with ts+dur); instant events
 // become thread-scoped instants (ph "i"). Grace periods correlate with
 // their per-reader waits through args.gp, and reader waits name the
@@ -64,7 +64,7 @@ func chromeArgs(ev Event) map[string]any {
 		return map[string]any{"gp": ev.A, "seq": ev.B, "readers_waited": ev.C}
 	case EvGPShare:
 		return map[string]any{"gp": ev.A, "target_seq": ev.B, "inflight_seq": ev.C}
-	case EvRetire, EvReclaim:
+	case EvRetire:
 		return map[string]any{"nodes": ev.A}
 	case EvStall:
 		return map[string]any{"gp": ev.A, "first_reader": ev.B, "stalled_readers": ev.C}
@@ -79,7 +79,7 @@ func chromeCat(t EventType) string {
 	switch t {
 	case EvSync, EvReaderWait, EvSyncWait, EvGPLead, EvGPShare, EvStall:
 		return "rcu"
-	case EvRetire, EvReclaim:
+	case EvRetire:
 		return "reclaim"
 	default:
 		return "op"

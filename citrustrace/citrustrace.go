@@ -5,7 +5,7 @@
 //
 // Events are typed, fixed-size records — operation spans, per-node lock
 // waits, validation retries, synchronize_rcu spans with a per-reader
-// wait breakdown, node retire/reclaim — written into per-writer,
+// wait breakdown, node retirement — written into per-writer,
 // fixed-size, lock-free ring buffers. Old events are overwritten by new
 // ones, so a recorder holds a sliding window of recent history ("flight
 // recorder" semantics): when a grace period stalls or a delete spins on
@@ -13,7 +13,7 @@
 // phases interleaved.
 //
 // A Recorder owns the rings. Writers obtain a Ring (one per tree handle;
-// a shared ring per RCU domain and per reclaimer) and record into it
+// a shared ring per RCU domain) and record into it
 // without locks: one atomic slot claim plus plain atomic stores. A
 // Snapshot merges every ring on demand, validates slots against
 // concurrent overwrite, time-orders the surviving events, and can be
@@ -98,14 +98,9 @@ const (
 	// call needs, C = the in-flight sequence value it waited out.
 	EvGPShare
 
-	// EvRetire is an instant event: a delete handed unlinked nodes to
-	// deferred reclamation. A = number of nodes retired.
+	// EvRetire is an instant event: a delete unlinked nodes and left
+	// them to the garbage collector. A = number of nodes retired.
 	EvRetire
-
-	// EvReclaim is an instant event: a retired node's grace period
-	// elapsed and it was returned to the allocation pool. A = number of
-	// nodes reclaimed.
-	EvReclaim
 
 	// EvStall is a span recorded by a domain when a Synchronize call
 	// crossed its stall threshold (rcu.SetStallTimeout): the wait so far,
@@ -132,7 +127,6 @@ var eventTypeNames = [numEventTypes]string{
 	EvGPLead:       "gp-lead",
 	EvGPShare:      "gp-share",
 	EvRetire:       "retire",
-	EvReclaim:      "reclaim",
 	EvStall:        "stall",
 }
 

@@ -59,7 +59,7 @@ func New(opts ...Option) *Recorder {
 func (r *Recorder) Epoch() time.Time { return r.epoch }
 
 // NewRing registers and returns a fresh ring. Each writer (tree handle,
-// domain, reclaimer) should own one; label is surfaced in dumps and as
+// domain) should own one; label is surfaced in dumps and as
 // the Chrome-trace thread name.
 func (r *Recorder) NewRing(label string) *Ring {
 	g := &Ring{
@@ -84,7 +84,7 @@ func (r *Recorder) NewRing(label string) *Ring {
 
 // SharedRing returns the ring registered under label, creating it on
 // first use. Multiple goroutines may record into it concurrently; the
-// RCU domain tracer and the reclaimer use this.
+// RCU domain tracer uses this.
 func (r *Recorder) SharedRing(label string) *Ring {
 	r.mu.Lock()
 	if g, ok := r.shared[label]; ok {

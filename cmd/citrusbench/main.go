@@ -10,9 +10,6 @@
 //	-figure a4    A/B: Citrus with event tracing off vs on (citrustrace)
 //	-figure a5    A/B: grace-period combining on vs off, update-only mix
 //	-figure s     range scans under churn (panels s1 mixed, s2 scan-heavy)
-//	-figure am    age–memory trade-off: reclaimer backlog depth and oldest
-//	              callback age vs throughput, across RCU flavors
-//	              (scalable, classic, ebr) and watermark settings
 //	-figure all   everything
 //
 // Panels can also be addressed individually (-figure 10c). The paper runs
@@ -53,7 +50,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("citrusbench", flag.ContinueOnError)
 	var (
-		figure   = fs.String("figure", "all", "comma-separated figures to regenerate: 8, 9, 10, s, a1..a5, am, all, or panel ids like 10c or s1")
+		figure   = fs.String("figure", "all", "comma-separated figures to regenerate: 8, 9, 10, s, a1..a5, all, or panel ids like 10c or s1")
 		duration = fs.Duration("duration", 500*time.Millisecond, "measured duration per cell")
 		reps     = fs.Int("reps", 1, "repetitions per cell (arithmetic mean is reported)")
 		threads  = fs.String("threads", "", "comma-separated worker counts (default 1,2,4,8,16,32,64)")
@@ -64,7 +61,7 @@ func run(args []string) error {
 		note     = fs.String("note", "", "free-form note recorded in the JSON report (baseline citation, machine, etc.)")
 		verify   = fs.Bool("verify", true, "check structural invariants after every cell")
 		implStr  = fs.String("impl", "", "comma-separated series filter (substring match on series names)")
-		stats    = fs.Bool("stats", false, "after the selected figures, run Citrus once per thread count and print a native-observability stats table (grace periods, p50/p99 grace-period wait, retry and recycle rates)")
+		stats    = fs.Bool("stats", false, "after the selected figures, run Citrus once per thread count and print a native-observability stats table (grace periods, p50/p99 grace-period wait, retry rates)")
 		procsStr = fs.String("procs", "", "comma-separated GOMAXPROCS sweep (e.g. 1,2,4): the selected figures rerun under each value, and every data point records the procs it ran under")
 		shardStr = fs.String("shards", "", "comma-separated Citrus-forest shard counts added as extra series to the figure sweeps (e.g. 1,8); 1 is the degenerate single-tree forest")
 	)
@@ -280,14 +277,8 @@ func run(args []string) error {
 				return err
 			}
 		}
-		if selected("am") {
-			matched = true
-			if err := runAgeMemory(workerCounts, *duration, keyRangeScale, csv, rep); err != nil {
-				return err
-			}
-		}
 		if !matched {
-			return fmt.Errorf("unknown figure %q (try 8, 9, 10, a1, a2, a3, a4, a5, am, all, or a panel id)", *figure)
+			return fmt.Errorf("unknown figure %q (try 8, 9, 10, a1, a2, a3, a4, a5, all, or a panel id)", *figure)
 		}
 		if *stats {
 			if err := runStats(workerCounts, *duration, keyRangeScale, csv, rep); err != nil {
@@ -425,176 +416,19 @@ func runCombiningAblation(workerCounts []int, duration time.Duration, keyRangeSc
 	return nil
 }
 
-// runAgeMemory is the am figure: the age–memory trade-off behind
-// bounded reclamation, measured per RCU flavor. Each cell runs a
-// read-mostly mix (90% contains — reads dominate, but the update tail
-// keeps retiring nodes) on Citrus with recycling, while a sampler
-// polls the reclaimer's two trade-off gauges: QueueDepth (memory held
-// hostage to unfinished grace periods) and OldestAgeNanos (how stale
-// the oldest hostage is). The sweep crosses the three flavors
-// (scalable, classic, ebr — different grace-period latencies, hence
-// different steady-state backlogs) with three watermark settings
-// (unbounded, the kvserver defaults, and a deliberately tight bound
-// that sheds under pressure), so the table shows what each flavor's
-// grace-period behavior costs in resident garbage and what a bound
-// buys back — at what throughput price.
-//
-// Every cell records the GOMAXPROCS it ran under; on a 1-CPU box the
-// thread axis measures goroutine timesharing, not parallelism, and the
-// JSON report marks those cells timeshared.
-func runAgeMemory(workerCounts []int, duration time.Duration, keyRangeScale int, csv *os.File, rep *report) error {
-	fmt.Println("== Figure am: age–memory trade-off by RCU flavor and reclaimer watermark (90% contains, recycling on) ==")
-	flavors := []struct {
-		name string
-		new  func() rcu.Flavor
-	}{
-		{"scalable", func() rcu.Flavor { return rcu.NewDomain() }},
-		{"classic", func() rcu.Flavor { return rcu.NewClassicDomain() }},
-		{"ebr", func() rcu.Flavor { return rcu.NewEpochDomain() }},
-	}
-	watermarks := []struct {
-		name string
-		opts []rcu.ReclaimerOption
-	}{
-		{"unbounded", nil},
-		{"bounded", []rcu.ReclaimerOption{rcu.WithHighWatermark(1024), rcu.WithHardCap(8192)}},
-		{"tight", []rcu.ReclaimerOption{rcu.WithHighWatermark(64), rcu.WithHardCap(256)}},
-	}
-	fmt.Printf("%-10s %-10s %-8s %-6s %12s %9s %9s %11s %11s %9s %8s\n",
-		"flavor", "watermark", "threads", "procs", "ops/s", "depth-pk", "depth-avg", "age-pk", "age-avg", "GPs", "dropped")
-	fmt.Println(strings.Repeat("-", 114))
-	for _, fl := range flavors {
-		for _, wm := range watermarks {
-			for _, w := range workerCounts {
-				dom := fl.new()
-				rec := rcu.NewReclaimer(dom, wm.opts...)
-				name := fmt.Sprintf("Citrus (%s, %s)", fl.name, wm.name)
-				factory := func() dict.Map[int, int] {
-					return impls.NewCitrusRecyclingWithFlavor[int, int](dom, rec, name)
-				}
-				cfg := harness.Config{
-					Workers:  w,
-					KeyRange: harness.KeyRangeSmall / keyRangeScale,
-					Mix:      harness.Uniform(workload.ReadMostly(90)),
-					Duration: duration,
-					Seed:     0xA6,
-					Prefill:  true,
-				}
-
-				// Sample the two gauges for the whole measured window. The
-				// 2ms cadence is coarse enough to stay off the hot path and
-				// fine enough to catch watermark-drain sawtooths.
-				stop := make(chan struct{})
-				samples := make(chan amSamples, 1)
-				go func() {
-					var s amSamples
-					tick := time.NewTicker(2 * time.Millisecond)
-					defer tick.Stop()
-					for {
-						select {
-						case <-stop:
-							samples <- s
-							return
-						case <-tick.C:
-							st := rec.Stats()
-							s.add(st.QueueDepth, st.OldestAgeNanos)
-						}
-					}
-				}()
-
-				res, err := harness.Run(factory, cfg)
-				close(stop)
-				s := <-samples
-				if err != nil {
-					rec.Close()
-					return err
-				}
-				final := rec.Stats() // pre-Close: Close drains the backlog
-				rec.Close()
-
-				timeshared := w > res.Procs
-				fmt.Printf("%-10s %-10s %-8d %-6d %12.0f %9d %9.0f %11v %11v %9d %8d\n",
-					fl.name, wm.name, w, res.Procs, res.Throughput(),
-					s.depthPeak, s.mean(s.depthSum),
-					time.Duration(s.agePeak), time.Duration(int64(s.mean(s.ageSum))),
-					final.GracePeriods, final.Dropped)
-				if csv != nil {
-					fmt.Fprintf(csv, "am,%s,%d,%d,0,%.0f\n", name, w, res.Procs, res.Throughput())
-				}
-				rep.addCells("am", []harness.Cell{{Impl: name, Workers: w, Procs: res.Procs, Throughput: res.Throughput()}})
-				caveat := ""
-				if timeshared {
-					caveat = fmt.Sprintf("threads=%d > GOMAXPROCS=%d: cell measures goroutine timesharing, not parallel scaling", w, res.Procs)
-				}
-				rep.addAgeMemory(reportAgeMemory{
-					Flavor:          fl.name,
-					Watermark:       wm.name,
-					Threads:         w,
-					Procs:           res.Procs,
-					Timeshared:      timeshared,
-					Caveat:          caveat,
-					OpsPerSec:       res.Throughput(),
-					QueueDepthPeak:  s.depthPeak,
-					QueueDepthMean:  s.mean(s.depthSum),
-					OldestAgePeakNs: s.agePeak,
-					OldestAgeMeanNs: int64(s.mean(s.ageSum)),
-					Samples:         s.n,
-					Deferred:        final.Deferred,
-					Executed:        final.Executed,
-					Dropped:         final.Dropped,
-					ExpeditedDrains: final.ExpeditedDrains,
-					GracePeriods:    final.GracePeriods,
-					QueueHighWater:  final.QueueHighWater,
-				})
-			}
-		}
-	}
-	fmt.Println()
-	return nil
-}
-
-// amSamples accumulates the sampler's view of one am cell.
-type amSamples struct {
-	n                  int64
-	depthPeak, agePeak int64
-	depthSum, ageSum   float64
-}
-
-func (s *amSamples) add(depth, age int64) {
-	s.n++
-	s.depthSum += float64(depth)
-	s.ageSum += float64(age)
-	if depth > s.depthPeak {
-		s.depthPeak = depth
-	}
-	if age > s.agePeak {
-		s.agePeak = age
-	}
-}
-
-// mean returns sum/n, 0 before the first sample.
-func (s *amSamples) mean(sum float64) float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return sum / float64(s.n)
-}
-
-// runStats exercises Citrus (with node recycling) once per thread count
-// and prints the library's own observability counters — the same
-// numbers a production service reads from Tree.Stats()/Domain.Stats()
-// at runtime — rather than harness-side instrumentation.
+// runStats exercises Citrus once per thread count and prints the
+// library's own observability counters — the same numbers a production
+// service reads from Tree.Stats()/Domain.Stats() at runtime — rather
+// than harness-side instrumentation.
 func runStats(workerCounts []int, duration time.Duration, keyRangeScale int, csv *os.File, rep *report) error {
-	fmt.Println("== Final stats: native Tree/Domain observability (50% contains, key range [0,2e5], recycling on) ==")
-	fmt.Printf("%-8s %12s %8s %12s %10s %10s %9s %9s %8s\n",
-		"threads", "ops/s", "GPs", "mean GP", "p50 GP", "p99 GP", "ins-rty", "del-rty", "recycle")
-	fmt.Println(strings.Repeat("-", 95))
+	fmt.Println("== Final stats: native Tree/Domain observability (50% contains, key range [0,2e5]) ==")
+	fmt.Printf("%-8s %12s %8s %12s %10s %10s %9s %9s\n",
+		"threads", "ops/s", "GPs", "mean GP", "p50 GP", "p99 GP", "ins-rty", "del-rty")
+	fmt.Println(strings.Repeat("-", 86))
 	for _, w := range workerCounts {
-		dom := rcu.NewDomain()
-		rec := rcu.NewReclaimer(dom)
 		var m dict.Map[int, int]
 		factory := func() dict.Map[int, int] {
-			m = impls.NewCitrusRecyclingWithFlavor[int, int](dom, rec, "Citrus (stats)")
+			m = impls.NewCitrusWithFlavor[int, int](rcu.NewDomain(), "Citrus (stats)")
 			return m
 		}
 		cfg := harness.Config{
@@ -607,12 +441,9 @@ func runStats(workerCounts []int, duration time.Duration, keyRangeScale int, csv
 		}
 		res, err := harness.Run(factory, cfg)
 		if err != nil {
-			rec.Close()
 			return err
 		}
-		rec.Barrier() // let deferred recycling drain so reuse counts settle
 		s := m.(impls.TreeStatser).TreeStats()
-		rec.Close()
 		if s.RCU == nil {
 			return fmt.Errorf("stats run: flavor reported no RCU stats")
 		}
@@ -623,15 +454,10 @@ func runStats(workerCounts []int, duration time.Duration, keyRangeScale int, csv
 			}
 			return fmt.Sprintf("%.2f%%", float64(retries)/float64(attempts)*100)
 		}
-		recycleRate := "-"
-		if s.NodesRetired > 0 {
-			recycleRate = fmt.Sprintf("%.0f%%", float64(s.NodesReused)/float64(s.NodesRetired)*100)
-		}
-		fmt.Printf("%-8d %12.0f %8d %12v %10v %10v %9s %9s %8s\n",
+		fmt.Printf("%-8d %12.0f %8d %12v %10v %10v %9s %9s\n",
 			w, res.Throughput(), s.RCU.Synchronizes, gp.Mean(), gp.Percentile(50), gp.Percentile(99),
 			retryRate(s.InsertRetries, s.Inserts+s.InsertExisting+s.InsertRetries),
-			retryRate(s.DeleteRetries, s.Deletes+s.DeleteMisses+s.DeleteRetries),
-			recycleRate)
+			retryRate(s.DeleteRetries, s.Deletes+s.DeleteMisses+s.DeleteRetries))
 		if csv != nil {
 			fmt.Fprintf(csv, "stats,Citrus,%d,%d,0,%.0f\n", w, res.Procs, res.Throughput())
 		}
@@ -645,8 +471,6 @@ func runStats(workerCounts []int, duration time.Duration, keyRangeScale int, csv
 			InsertRetries:   s.InsertRetries,
 			DeleteRetries:   s.DeleteRetries,
 			TwoChildDeletes: s.TwoChildDeletes,
-			NodesRetired:    s.NodesRetired,
-			NodesReused:     s.NodesReused,
 		})
 	}
 	fmt.Println()

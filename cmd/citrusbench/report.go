@@ -35,8 +35,8 @@ type report struct {
 	// Cells: one row per (figure, series, threads), same as the CSV.
 	Cells []reportCell `json:"cells"`
 
-	// GraceStats: the -stats table (Citrus with recycling, native
-	// Tree/Domain counters), present when -stats ran.
+	// GraceStats: the -stats table (native Tree/Domain counters),
+	// present when -stats ran.
 	GraceStats []reportGP `json:"grace_period_stats,omitempty"`
 
 	// TracingOverhead: the a4 A/B (plain Citrus vs tracing-enabled
@@ -47,13 +47,6 @@ type report struct {
 	// grace-period combining on vs off), with the domain's native
 	// lead/share accounting; present when figure a5 ran.
 	CombiningAblation []reportCombining `json:"combining_ablation,omitempty"`
-
-	// AgeMemory: the am figure — per (flavor, watermark, threads) cell,
-	// sampled reclaimer backlog depth and oldest-callback age against
-	// throughput; present when figure am ran. Cells where threads
-	// exceeded the effective GOMAXPROCS carry Timeshared=true and a
-	// Caveat explaining what the cell actually measured.
-	AgeMemory []reportAgeMemory `json:"age_memory,omitempty"`
 }
 
 type reportCell struct {
@@ -75,8 +68,6 @@ type reportGP struct {
 	InsertRetries   int64   `json:"insert_retries"`
 	DeleteRetries   int64   `json:"delete_retries"`
 	TwoChildDeletes int64   `json:"two_child_deletes"`
-	NodesRetired    int64   `json:"nodes_retired"`
-	NodesReused     int64   `json:"nodes_reused"`
 }
 
 type reportCombining struct {
@@ -91,32 +82,6 @@ type reportCombining struct {
 	P99WaitNanos      int64   `json:"p99_wait_ns"`
 	FollowerWaits     int64   `json:"follower_waits"`
 	FollowerMeanNanos int64   `json:"follower_mean_ns"`
-}
-
-type reportAgeMemory struct {
-	Flavor     string `json:"flavor"`    // scalable | classic | ebr
-	Watermark  string `json:"watermark"` // unbounded | bounded | tight
-	Threads    int    `json:"threads"`
-	Procs      int    `json:"procs"`      // effective GOMAXPROCS for this cell
-	Timeshared bool   `json:"timeshared"` // threads > procs: goroutine timesharing, not parallelism
-	Caveat     string `json:"caveat,omitempty"`
-
-	OpsPerSec float64 `json:"ops_per_sec"`
-
-	// Sampled gauges over the measured window (2ms cadence).
-	QueueDepthPeak  int64   `json:"queue_depth_peak"`
-	QueueDepthMean  float64 `json:"queue_depth_mean"`
-	OldestAgePeakNs int64   `json:"oldest_age_peak_ns"`
-	OldestAgeMeanNs int64   `json:"oldest_age_mean_ns"`
-	Samples         int64   `json:"samples"`
-
-	// Final reclaimer counters, read before Close drained the backlog.
-	Deferred        int64 `json:"deferred"`
-	Executed        int64 `json:"executed"`
-	Dropped         int64 `json:"dropped"`
-	ExpeditedDrains int64 `json:"expedited_drains"`
-	GracePeriods    int64 `json:"grace_periods"`
-	QueueHighWater  int64 `json:"queue_high_water"`
 }
 
 type reportOverhead struct {
@@ -174,13 +139,6 @@ func (r *report) addCombining(c reportCombining) {
 		return
 	}
 	r.CombiningAblation = append(r.CombiningAblation, c)
-}
-
-func (r *report) addAgeMemory(a reportAgeMemory) {
-	if r == nil {
-		return
-	}
-	r.AgeMemory = append(r.AgeMemory, a)
 }
 
 func (r *report) addOverhead(o reportOverhead) {

@@ -19,9 +19,11 @@
 // `-flavor snapearly` (grace-period combining with its sequence target
 // computed one stride early), `-flavor ebrearly` (the epoch flavor with
 // its advance threshold computed one epoch early, so pinned readers are
-// never waited for) and `-mutant ignoretags -recycle` are deliberately
-// broken builds that MUST fail; they verify the harness can see the
-// failures it hunts.
+// never waited for) and `-flavor scanhog` are deliberately broken builds
+// that MUST fail; they verify the harness can see the failures it hunts.
+// The line-38 tag's negative control is a staged interleaving instead,
+// internal/core's TestTagDefeatsABA: without node reuse the race the
+// tag guards is too narrow for random schedules to hit in a time box.
 //
 // `-flavor ebr` swaps the reclamation design under the same oracles:
 // the epoch-based rcu.EpochDomain instead of the default per-reader
@@ -89,8 +91,6 @@ func run(args []string, out *os.File) error {
 		implName = fs.String("impl", "citrus", "subject: citrus, forest (sharded citrus), a registry name (see -list), or all")
 		list     = fs.Bool("list", false, "list subject names and exit")
 		flavor   = fs.String("flavor", "", "citrus RCU flavor: scalable (default), classic, ebr (epoch-based), a negative control (nosync, snapearly, ebrearly, scanhog), or a robustness scenario (stalledreader, scanstorm)")
-		mutant   = fs.String("mutant", "", "citrus mutant: ignoretags disables the line 38 tag validation (negative control)")
-		recycle  = fs.Bool("recycle", false, "torture citrus with node recycling (disables poisoning)")
 		seed     = fs.Uint64("seed", 1, "master seed: injection schedule + workloads derive from it")
 		seeds    = fs.Int("seeds", 1, "sweep this many consecutive seeds starting at -seed")
 		duration = fs.Duration("duration", 2*time.Second, "time box per run")
@@ -138,8 +138,8 @@ func run(args []string, out *os.File) error {
 	}
 	var subjects []subjectCfg
 	if *implName == "all" {
-		if *flavor != "" || *mutant != "" || *recycle {
-			return fmt.Errorf("-impl all cannot be combined with -flavor/-mutant/-recycle")
+		if *flavor != "" {
+			return fmt.Errorf("-impl all cannot be combined with -flavor")
 		}
 		subjects = append(subjects,
 			subjectCfg{"citrus", "scalable"},
@@ -164,8 +164,6 @@ func run(args []string, out *os.File) error {
 				KeyRange: *keyRange,
 				Impl:     sub.impl,
 				Flavor:   sub.flavor,
-				Mutant:   *mutant,
-				Recycle:  *recycle,
 				MaxSleep: *maxSleep,
 			}
 			if strings.EqualFold(sub.impl, "forest") {
@@ -213,12 +211,6 @@ func printVerdict(out *os.File, v *torture.Verdict) {
 	if v.Flavor != "" && v.Flavor != "scalable" {
 		label += "/" + v.Flavor
 	}
-	if v.Mutant != "" {
-		label += "+" + v.Mutant
-	}
-	if v.Recycle {
-		label += "+recycle"
-	}
 	status := "PASS"
 	if !v.Passed {
 		status = "FAIL"
@@ -252,12 +244,6 @@ func reproArgs(v *torture.Verdict) string {
 	}
 	if v.Flavor != "" {
 		args += " -flavor " + v.Flavor
-	}
-	if v.Mutant != "" {
-		args += " -mutant " + v.Mutant
-	}
-	if v.Recycle {
-		args += " -recycle"
 	}
 	return args
 }

@@ -254,11 +254,7 @@ func (d *durableStore) snapshotter() {
 //  3. scan the store batched (read-side sections dropped every batch,
 //     so the snapshot never parks grace periods) into a checksummed
 //     temp file, fsync, rename;
-//  4. Barrier() — wait until every reclamation callback enqueued
-//     before now has run, so no reader (this scan included) still
-//     holds memory retired before the snapshot when we start deleting
-//     history;
-//  5. Publish the manifest (the commit point), then TruncateBefore
+//  4. Publish the manifest (the commit point), then TruncateBefore
 //     drops the WAL segments the snapshot supersedes.
 //
 // A crash anywhere in this sequence leaves either the old snapshot +
@@ -282,7 +278,6 @@ func (d *durableStore) snapshotOnce() error {
 	if err != nil {
 		return err
 	}
-	d.f.Barrier()
 	if err := snapshot.Publish(d.dir, file, uint64(snapLSN), keys); err != nil {
 		return err
 	}

@@ -1,11 +1,12 @@
 // kvserver: a TCP key-value store backed by a citrus.Forest that
 // hash-partitions the key space across -shards N independent Citrus
-// trees, each with its own RCU domain and reclaimer. The default, one
-// shard, is exactly one Citrus tree. More shards bound the blast radius
-// of a stalled reader: a reader stuck in one shard's critical section
-// degrades that shard's reclamation while the other shards' grace
-// periods keep completing, so /healthz and the write-shedding policy
-// (which aggregate across shards) describe the whole forest honestly.
+// trees, each with its own RCU domain. The default, one shard, is
+// exactly one Citrus tree. Deleted nodes are left to the garbage
+// collector. More shards bound the blast radius of a stalled reader: a
+// reader stuck in one shard's critical section stalls that shard's
+// grace periods while the other shards' keep completing, so /healthz
+// and the write-shedding policy (which aggregate across shards)
+// describe the whole forest honestly.
 //
 // The server speaks a line protocol on 127.0.0.1:7170 (configurable):
 //
@@ -23,7 +24,9 @@
 // bytes, its line ending included: a longer one is answered
 // "ERR line too long (max 65536 bytes)" and the connection is closed,
 // because the rest of that line cannot be told apart from the requests
-// behind it. Each reply leaves in one write once it is complete.
+// behind it. Each reply leaves in one write once it is complete. A SET
+// whose value is not valid UTF-8 is answered ERR and stores nothing,
+// because the HTTP face's JSON scan could not return it as stored.
 //
 // Every connection is served by its own goroutine with its own tree
 // handle, so GETs from all connections proceed wait-free while SETs and
@@ -39,7 +42,8 @@
 //	                 with 503 + Retry-After while the server is degraded.
 //	                 PUT answers 413 for a body over 1 MiB and 400 for a
 //	                 value holding "\n" or "\r", which the TCP face
-//	                 could not answer on one line; neither stores anything
+//	                 could not answer on one line, or for a value that
+//	                 is not valid UTF-8; none of these stores anything
 //	/kv?from=&to=&limit=
 //	               → GET range scan over [from, to): a JSON document of
 //	                 pairs in ascending key order, at most limit
@@ -49,13 +53,11 @@
 //	                 updated concurrently may or may not appear — and,
 //	                 like every read, it serves while degraded
 //	/healthz       → 200 while healthy, 503 with a JSON reason list
-//	                 while degraded (stalled grace period, reclaimer
-//	                 backlog at its watermark)
+//	                 while degraded (a grace period stalled past -stall)
 //	/metrics.prom  → every metric the server keeps, in the Prometheus
 //	                 text format: request latency histograms, server
 //	                 counters, WAL and recovery series, and per shard the
-//	                 tree counters, RCU grace-period stats and reclaimer
-//	                 queue depth and age
+//	                 tree counters and RCU grace-period stats
 //	/debug/trace   → citrustrace flight-recorder dump when tracing is on
 //	                 (-trace); ?format=chrome serves the Chrome
 //	                 trace_event form for chrome://tracing / Perfetto
@@ -69,15 +71,14 @@
 //	                 "rcu.synchronize" regions
 //
 // Graceful degradation: the RCU stall detector (-stall) watches every
-// grace period, and the tree's reclaimer runs with watermarks, so a
-// reader stuck in a critical section turns into a 503-shedding,
-// read-only-but-alive server instead of a hung one: GETs — wait-free by
-// construction — keep working, SET/DEL are shed (TCP "BUSY", HTTP 503 +
-// Retry-After), /healthz flips to 503, and DELs that do run bound their
-// grace-period wait with -optimeout, finishing cleanup in the
-// background on expiry. With -serve, SIGTERM/SIGINT drains: the
+// grace period, so a reader stuck in a critical section turns into a
+// 503-shedding, read-only-but-alive server instead of a hung one: GETs
+// — wait-free by construction — keep working, SET/DEL are shed (TCP
+// "BUSY", HTTP 503 + Retry-After), /healthz flips to 503, and DELs that
+// do run bound their grace-period wait with -optimeout, finishing
+// cleanup in the background on expiry. With -serve, SIGTERM/SIGINT drains: the
 // listeners close, in-flight connections get -drain to finish, and the
-// reclaimer flushes its queue before exit.
+// write-ahead log, when there is one, is flushed and closed before exit.
 //
 // Run `go run ./examples/kvserver` to start the server, load it with a
 // built-in concurrent demo client, print stats, and exit. Use -serve to
@@ -108,6 +109,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	citrus "github.com/go-citrus/citrus"
 	"github.com/go-citrus/citrus/internal/wal"
@@ -120,8 +122,6 @@ type kvConfig struct {
 	flavor       string        // RCU flavor name: scalable (default), classic, or ebr
 	opTimeout    time.Duration // per-write grace-period deadline (0 = unbounded)
 	stallTimeout time.Duration // RCU stall-detector threshold (0 = off)
-	recHigh      int           // reclaimer high watermark (expedited drain), per shard
-	recCap       int           // reclaimer hard cap (backpressure, then shed), per shard
 	drainTimeout time.Duration // how long shutdown waits for open connections
 
 	// Durability (empty walDir = in-memory only, the pre-WAL behavior).
@@ -150,8 +150,8 @@ func (c kvConfig) flavorName() string {
 // asked for. Scans traverse inside RCU read-side critical sections
 // (one per shard for the forest) and buffer their results before a
 // byte goes to the client, so the cap bounds both the read-side dwell
-// — long critical sections delay grace periods and back up the
-// reclaimer — and the per-request memory. Clients page with the last
+// — long critical sections delay grace periods — and the per-request
+// memory. Clients page with the last
 // key returned.
 const maxScanResults = 1000
 
@@ -161,8 +161,6 @@ func defaultKVConfig() kvConfig {
 		flavor:       "scalable",
 		opTimeout:    2 * time.Second,
 		stallTimeout: 250 * time.Millisecond,
-		recHigh:      1024,
-		recCap:       8192,
 		drainTimeout: 5 * time.Second,
 		fsync:        "group",
 		snapEvery:    10000,
@@ -210,9 +208,7 @@ func buildServer(cfg kvConfig) (*server, error) {
 	}
 	s.forest = f
 	if cfg.walDir != "" {
-		s.durable, err = newDurableStore(f, cfg)
-		if err != nil {
-			f.Close()
+		if s.durable, err = newDurableStore(f, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -229,33 +225,24 @@ func (s *server) newHandle() storeHandle {
 	return &durableHandle{ForestHandle: h, d: s.durable}
 }
 
-// close flushes and closes the WAL, when there is one, then drains
-// retired nodes through their grace periods on every shard and stops
-// the reclaimers. Every handle must be closed first.
+// close flushes and closes the WAL, when there is one. Every handle
+// must be closed first.
 func (s *server) close() {
 	if s.durable != nil {
 		s.durable.Close()
 	}
-	s.forest.Close()
 }
 
 // degraded reports whether the server is shedding writes, with a
-// human-readable reason per trigger. Two triggers, matching the two
-// failure modes docs/RCU.md's degradation matrix describes: a
-// grace-period wait stalled past the detector threshold (a reader stuck
-// in its critical section), or a reclaimer's queue at/above its high
-// watermark (retired nodes accumulating faster than grace periods
-// retire them). Both probes aggregate across every shard — the router
-// is hash-based, so any write may land on the sick shard.
+// human-readable reason: a grace-period wait stalled past the detector
+// threshold (a reader stuck in its critical section). The probe
+// aggregates across every shard — the router is hash-based, so any
+// write may land on the sick shard.
 func (s *server) degraded() (bool, []string) {
-	var reasons []string
 	if n := s.activeStalls(); n > 0 {
-		reasons = append(reasons, fmt.Sprintf("%d grace-period wait(s) stalled past %v", n, s.cfg.stallTimeout))
+		return true, []string{fmt.Sprintf("%d grace-period wait(s) stalled past %v", n, s.cfg.stallTimeout)}
 	}
-	if _, d := s.reclaimBacklog(); s.cfg.recHigh > 0 && d >= int64(s.cfg.recHigh) {
-		reasons = append(reasons, fmt.Sprintf("reclaimer backlog %d at high watermark %d", d, s.cfg.recHigh))
-	}
-	return len(reasons) > 0, reasons
+	return false, nil
 }
 
 // activeStalls sums the grace-period waits stalled past the detector
@@ -266,18 +253,6 @@ func (s *server) activeStalls() int64 {
 		n += flavorStats(s.forest.Flavor(i)).ActiveStalls
 	}
 	return n
-}
-
-// reclaimBacklog returns the reclaimers' backlog summed over the shards,
-// for reporting, and the deepest single shard's, for the watermark
-// comparison: each shard's reclaimer carries its own watermark.
-func (s *server) reclaimBacklog() (total, deepest int64) {
-	for i := 0; i < s.forest.NumShards(); i++ {
-		d := s.forest.Reclaimer(i).QueueDepth()
-		total += d
-		deepest = max(deepest, d)
-	}
-	return total, deepest
 }
 
 // writeCtx returns the context bounding one write's grace-period wait.
@@ -296,12 +271,10 @@ func main() {
 	mutexFrac := flag.Int("mutexprofilefraction", 0, "runtime.SetMutexProfileFraction: sample 1/n mutex contention events (0 disables)")
 	blockRate := flag.Int("blockprofilerate", 0, "runtime.SetBlockProfileRate: sample blocking events ≥ n ns (0 disables)")
 	def := defaultKVConfig()
-	shards := flag.Int("shards", def.shards, "partition the key space across this many independently reclaimed Citrus trees (citrus.Forest); 1 = single tree")
+	shards := flag.Int("shards", def.shards, "partition the key space across this many Citrus trees, each with its own RCU domain (citrus.Forest); 1 = single tree")
 	flavor := flag.String("flavor", def.flavor, "RCU reclamation flavor backing every tree: scalable (per-reader counter+flag), classic (single shared counter), or ebr (epoch-based)")
 	opTimeout := flag.Duration("optimeout", def.opTimeout, "per-write grace-period deadline; expired DELs finish cleanup in the background (0 = unbounded)")
 	stall := flag.Duration("stall", def.stallTimeout, "RCU stall-detector threshold; stalled grace periods are logged and flip /healthz to degraded (0 disables)")
-	recHigh := flag.Int("reclaim-high", def.recHigh, "reclaimer high watermark: queue depth that triggers an expedited drain and write shedding")
-	recCap := flag.Int("reclaim-cap", def.recCap, "reclaimer hard cap: queue depth past which retired nodes are shed to the GC (0 = unbounded)")
 	drain := flag.Duration("drain", def.drainTimeout, "how long SIGTERM/SIGINT shutdown waits for open connections before exiting")
 	walDir := flag.String("wal-dir", def.walDir, "write-ahead log + snapshot directory: writes are logged and recovered on boot (empty = in-memory only)")
 	fsync := flag.String("fsync", def.fsync, "WAL fsync policy: always (fsync per write), group (batched fsync, default), none (NOT crash-durable; torture negative control)")
@@ -321,8 +294,6 @@ func main() {
 		flavor:       *flavor,
 		opTimeout:    *opTimeout,
 		stallTimeout: *stall,
-		recHigh:      *recHigh,
-		recCap:       *recCap,
 		drainTimeout: *drain,
 		walDir:       *walDir,
 		fsync:        *fsync,
@@ -363,7 +334,7 @@ func runNotify(addr, httpAddr string, keepServing, traceOn bool, cfg kvConfig, r
 		return err
 	}
 	defer ln.Close()
-	log.Printf("kvserver listening on %s (%d shard(s), each with its own RCU domain and reclaimer)", ln.Addr(), cfg.shards)
+	log.Printf("kvserver listening on %s (%d shard(s), each with its own RCU domain)", ln.Addr(), cfg.shards)
 
 	// Install the SIGTERM handler before either face can answer: a
 	// client that got a reply may stop the server at once, and a
@@ -468,8 +439,8 @@ func runNotify(addr, httpAddr string, keepServing, traceOn bool, cfg kvConfig, r
 			log.Printf("drain timeout: force-closed %d open connection(s)", n)
 			wg.Wait()
 		}
-		// Handlers are done; now the WAL, when -wal-dir is set, and then
-		// the store can flush, fsync, and close in order.
+		// Handlers are done; now the WAL, when -wal-dir is set, can
+		// flush, fsync, and close.
 		srv.close()
 		log.Printf("drained: %d ops served", srv.ops.Load())
 		return nil
@@ -507,15 +478,13 @@ func (s *server) statsMux() *http.ServeMux {
 // can keep read traffic flowing while routing writes elsewhere.
 func (s *server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	deg, reasons := s.degraded()
-	backlog, _ := s.reclaimBacklog()
 	doc := map[string]any{
-		"status":              "ok",
-		"reasons":             reasons,
-		"shards":              s.cfg.shards,
-		"active_stalls":       s.activeStalls(),
-		"reclaim_queue_depth": backlog,
-		"shed_writes":         s.shedWrites.Load(),
-		"gp_timeouts":         s.gpTimeouts.Load(),
+		"status":        "ok",
+		"reasons":       reasons,
+		"shards":        s.cfg.shards,
+		"active_stalls": s.activeStalls(),
+		"shed_writes":   s.shedWrites.Load(),
+		"gp_timeouts":   s.gpTimeouts.Load(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if deg {
@@ -579,6 +548,11 @@ func (s *server) serveKV(w http.ResponseWriter, r *http.Request) {
 			// The TCP face answers one line per value; a line break would
 			// split a reply in two and shift every later one.
 			http.Error(w, "value contains a line break", http.StatusBadRequest)
+			return
+		case !utf8.Valid(body):
+			// JSON strings carry only UTF-8: the range scan would answer
+			// such a value with U+FFFD where GET answers it raw.
+			http.Error(w, "value is not valid UTF-8", http.StatusBadRequest)
 			return
 		}
 		if !h.Insert(key, string(body)) {
@@ -810,10 +784,14 @@ func (s *server) execVerb(dst []byte, h storeHandle, verb string, fields []strin
 		if err != nil || len(fields) < 3 {
 			return append(dst, "ERR usage: SET <key> <value>"...), false
 		}
+		value := strings.Join(fields[2:], " ")
+		if !utf8.ValidString(value) {
+			return append(dst, "ERR value is not valid UTF-8"...), false
+		}
 		if shed() {
 			return append(dst, busy...), false
 		}
-		if h.Insert(key, strings.Join(fields[2:], " ")) {
+		if h.Insert(key, value) {
 			return append(dst, "OK"...), false
 		}
 		return append(dst, "EXISTS"...), false

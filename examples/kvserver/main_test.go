@@ -100,7 +100,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	m := quiescentScrape(t, s)
+	m := promScrape(t, s)
 	for _, name := range []string{
 		"citrus_tree_insert_existing_total", "citrus_tree_delete_misses_total",
 		"citrus_rcu_sync_spins_total", "citrus_rcu_sync_rechecks_total",
@@ -132,12 +132,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
-	// Every grace period on the domain is the delete's or the
-	// reclaimer's: the reclaimer drives its own on the same domain.
-	if got, want := one("citrus_rcu_synchronizes_total"),
-		one("citrus_tree_two_child_deletes_total")+one("citrus_reclaim_grace_periods_total"); got != want {
-		t.Fatalf("synchronizes = %v, want two-child deletes + reclaimer grace periods = %v", got, want)
-	}
+	// Every grace period on a shard's domain is a two-child delete's
+	// (paper line 74): nothing else drives one, so a plain scrape is
+	// already settled.
+	checkSyncsAreTwoChildDeletes(t, m)
 	if got := one("citrus_rcu_reader_high_water"); got < 1 {
 		t.Fatalf("citrus_rcu_reader_high_water = %v with a handle open", got)
 	}
@@ -384,11 +382,13 @@ func TestKVEndpoint(t *testing.T) {
 	}
 }
 
-// TestKVEndpointValues pins what HTTP PUT stores: a body of exactly
+// TestKVEndpointValues pins what the two faces store: a body of exactly
 // 1 MiB is stored whole, a longer one is refused with 413 and stores
 // nothing, and a value with a line break is refused with 400, so the
-// TCP face, which answers one line per value, never sees one. Inner
-// spaces and tabs round-trip on both faces.
+// TCP face, which answers one line per value, never sees one. A value
+// that is not valid UTF-8 is refused on both faces — 400 over HTTP, ERR
+// over TCP — and stores nothing, so GET, SCAN and the JSON scan never
+// disagree about it. Inner spaces and tabs round-trip on both faces.
 func TestKVEndpointValues(t *testing.T) {
 	s, h := newTestServer()
 	defer h.Close()
@@ -412,7 +412,7 @@ func TestKVEndpointValues(t *testing.T) {
 	if rec := do("GET", "/kv/2", ""); rec.Code != http.StatusNotFound {
 		t.Fatalf("GET after the refused PUT: status %d, want 404", rec.Code)
 	}
-	for key, body := range map[int]string{6: "a\nEND 0", 7: "a\rb", 9: "line\r\n"} {
+	for key, body := range map[int]string{6: "a\nEND 0", 7: "a\rb", 9: "line\r\n", 12: "\xff\xfe", 13: "ok \xc3"} {
 		if rec := do("PUT", fmt.Sprintf("/kv/%d", key), body); rec.Code != http.StatusBadRequest {
 			t.Fatalf("PUT /kv/%d of %q: status %d, want 400", key, body, rec.Code)
 		}
@@ -426,15 +426,27 @@ func TestKVEndpointValues(t *testing.T) {
 	}
 
 	c := dialTCP(t, serveTCP(t, s))
-	send(t, c, "GET 6\nGET 7\nGET 8\nSCAN 2 20 10\n")
+	send(t, c, "GET 6\nGET 7\nGET 8\nGET 12\nSCAN 2 20 10\n")
 	expectBytes(t, c, "TCP face after the refused PUTs",
-		"NOT_FOUND\nNOT_FOUND\nVALUE "+spaced+"\nKEY 8 "+spaced+"\nEND 1\n")
+		"NOT_FOUND\nNOT_FOUND\nVALUE "+spaced+"\nNOT_FOUND\nKEY 8 "+spaced+"\nEND 1\n")
+
+	const refused = "ERR value is not valid UTF-8\n"
+	send(t, c, "SET 14 \xff\xfe\nSET 15 a \xc3\nGET 14\nSET 16 \u00e9t\u00e9\nGET 16\n")
+	expectBytes(t, c, "TCP SETs of values that are not UTF-8",
+		refused+refused+"NOT_FOUND\nOK\nVALUE \u00e9t\u00e9\n")
+	if rec := do("GET", "/kv/14", ""); rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /kv/14 after the refused TCP SET: status %d, want 404", rec.Code)
+	}
+	rec := do("GET", "/kv?from=2&to=20", "")
+	if want := `"count": 2`; !strings.Contains(rec.Body.String(), want) || !strings.Contains(rec.Body.String(), `"value": "été"`) {
+		t.Fatalf("JSON scan after the refused writes: %s, want 2 pairs with été", rec.Body)
+	}
 }
 
 // TestServerEndToEndSharded runs the full demo — listener, concurrent
 // TCP clients, reply verification, invariant check — against the
 // forest backend: same protocol, same replies, keys spread across
-// independently reclaimed shards.
+// shards with their own RCU domains.
 func TestServerEndToEndSharded(t *testing.T) {
 	cfg := defaultKVConfig()
 	cfg.shards = 4
@@ -444,7 +456,7 @@ func TestServerEndToEndSharded(t *testing.T) {
 }
 
 // TestShardedMetrics checks the forest server's metrics at four shards:
-// the server gauges count shards and keys, and the tree and reclaimer
+// the server gauges count shards and keys, and the tree and RCU
 // families carry one sample per shard, with the per-shard inserts
 // summing to what was done.
 func TestShardedMetrics(t *testing.T) {
@@ -478,7 +490,7 @@ func TestShardedMetrics(t *testing.T) {
 	if perShard != n {
 		t.Fatalf("per-shard inserts sum to %v, want %d", perShard, n)
 	}
-	for _, fam := range []string{"citrus_reclaim_deferred_total", "citrus_reclaim_queue_depth"} {
+	for _, fam := range []string{"citrus_tree_deletes_total", "citrus_rcu_synchronizes_total"} {
 		if f := m[fam]; f == nil || len(f.Samples) != 4 {
 			t.Fatalf("%s: %+v, want 4 shard samples", fam, f)
 		}

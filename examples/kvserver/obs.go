@@ -94,10 +94,8 @@ func (l *reqLatencies) series() []struct {
 //     request latency histograms (citrusstat's log2 buckets mapped to
 //     cumulative `_bucket`/`_sum`/`_count`, bounds in seconds), and,
 //     on a durable server, the WAL, snapshot and recovery series;
-//   - citrus_* — per-shard tree, RCU and reclaimer series, one sample
-//     per shard under a shard="i" label; the reclamation queue
-//     depth/age and grace-period age gauges are the age–memory
-//     trade-off signals, scrape-ready.
+//   - citrus_* — per-shard tree and RCU series, one sample per shard
+//     under a shard="i" label.
 //
 // A scrape reads counters only: it never walks the store. The payload
 // is strict-parser clean (citrusstat/promtext.Parse); the CI smoke job
@@ -191,8 +189,6 @@ func (s *server) servePromMetrics(w http.ResponseWriter, r *http.Request) {
 		e.Counter("citrus_tree_delete_retries_total", "Delete validation retries.", float64(t.DeleteRetries), shard)
 		e.Counter("citrus_tree_two_child_deletes_total", "Deletes that took the grace-period path (paper line 74).", float64(t.TwoChildDeletes), shard)
 		e.Counter("citrus_tree_delete_timeouts_total", "Bounded deletes whose grace-period wait expired.", float64(t.DeleteTimeouts), shard)
-		e.Counter("citrus_tree_nodes_retired_total", "Nodes retired to the reclaimer.", float64(t.NodesRetired), shard)
-		e.Counter("citrus_tree_nodes_reused_total", "Retired nodes recycled into new inserts.", float64(t.NodesReused), shard)
 		e.Counter("citrus_tree_scans_total", "Range/full scans started.", float64(t.Scans), shard)
 		e.Counter("citrus_tree_scan_sections_total", "Read-side critical sections opened by scans (> scans when batched scans re-descend).", float64(t.ScanSections), shard)
 		e.Counter("citrus_tree_scan_pairs_total", "Pairs emitted to scan callbacks.", float64(t.ScanPairs), shard)
@@ -220,16 +216,6 @@ func (s *server) servePromMetrics(w http.ResponseWriter, r *http.Request) {
 			e.Histogram("citrus_rcu_sync_wait_seconds", "Grace-period wait distribution.", rs.SyncWait, shard, flavorL)
 			e.Histogram("citrus_rcu_follower_wait_seconds", "Waits of synchronize calls on a grace period another caller led, one sample per episode.", rs.FollowerWait, shard, flavorL)
 		}
-
-		rc := fs.Reclaim[i]
-		e.Counter("citrus_reclaim_deferred_total", "Callbacks deferred to the reclaimer.", float64(rc.Deferred), shard)
-		e.Counter("citrus_reclaim_executed_total", "Deferred callbacks executed after their grace period.", float64(rc.Executed), shard)
-		e.Counter("citrus_reclaim_dropped_total", "Callbacks shed to the GC at the hard cap.", float64(rc.Dropped), shard)
-		e.Counter("citrus_reclaim_expedited_drains_total", "Drains triggered by the high watermark.", float64(rc.ExpeditedDrains), shard)
-		e.Counter("citrus_reclaim_grace_periods_total", "Grace periods the reclaimer drove.", float64(rc.GracePeriods), shard)
-		e.Gauge("citrus_reclaim_queue_depth", "Callbacks awaiting a grace period.", float64(rc.QueueDepth), shard)
-		e.Gauge("citrus_reclaim_queue_high_water", "Deepest queue ever observed.", float64(rc.QueueHighWater), shard)
-		e.Gauge("citrus_reclaim_oldest_age_seconds", "Age of the oldest queued callback (memory age).", float64(rc.OldestAgeNanos)/1e9, shard)
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -115,8 +115,7 @@ func TestPromMetricsEndpoint(t *testing.T) {
 			}
 			for _, fam := range []string{
 				"citrus_rcu_synchronizes_total", "citrus_rcu_active_syncs",
-				"citrus_rcu_oldest_sync_age_seconds", "citrus_reclaim_queue_depth",
-				"citrus_reclaim_oldest_age_seconds", "citrus_reclaim_deferred_total",
+				"citrus_rcu_oldest_sync_age_seconds", "citrus_tree_two_child_deletes_total",
 			} {
 				f := m[fam]
 				if f == nil || len(f.Samples) != shards {
@@ -365,11 +364,14 @@ func TestFlavorSelection(t *testing.T) {
 				cfg.flavor = flavor
 				cfg.shards = shards
 				s := newServer(cfg)
-				defer s.close()
 				h := s.newHandle()
 				defer h.Close()
 
-				for k := 0; k < 128; k++ {
+				// Scrambled inserts (37 is coprime to 128) leave nodes with
+				// two children for the deletes to hit: only those wait out
+				// a grace period.
+				for i := 0; i < 128; i++ {
+					k := i * 37 % 128
 					if got, _ := s.exec(h, fmt.Sprintf("SET %d v%d", k, k)); got != "OK" {
 						t.Fatalf("SET %d = %q", k, got)
 					}
@@ -386,7 +388,8 @@ func TestFlavorSelection(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				m := quiescentScrape(t, s)
+				m := promScrape(t, s)
+				checkSyncsAreTwoChildDeletes(t, m)
 				info := m["kvserver_rcu_flavor_info"]
 				if info == nil || len(info.Samples) != 1 || info.Samples[0].Label("flavor") != flavor {
 					t.Fatalf("kvserver_rcu_flavor_info = %+v, want one sample labeled %q", info, flavor)
@@ -423,25 +426,22 @@ func TestFlavorSelection(t *testing.T) {
 	}
 }
 
-// quiescentScrape polls /metrics.prom until every shard's reclaimer has
-// run all it was deferred — the reclaimer drives its own grace periods
-// on each shard's domain — and then returns a fresh scrape: one scrape
-// reads a shard's RCU series before its reclaimer series, so only a
-// scrape taken after the settle has settled RCU counters.
-func quiescentScrape(t *testing.T, s *server) promtext.Metrics {
+// checkSyncsAreTwoChildDeletes asserts, per shard, that every grace
+// period the shard's domain ran was a two-child delete's (paper line
+// 74): citrus_rcu_synchronizes_total equals
+// citrus_tree_two_child_deletes_total. Shards own no reclaimer, so
+// nothing else drives a grace period and one scrape is settled.
+func checkSyncsAreTwoChildDeletes(t *testing.T, m promtext.Metrics) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		m := promScrape(t, s)
-		settled := true
-		for _, sm := range m["citrus_reclaim_deferred_total"].Samples {
-			ex := m["citrus_reclaim_executed_total"].Sample("shard", sm.Label("shard"))
-			settled = settled && ex != nil && ex.Value == sm.Value
-		}
-		if settled {
-			return promScrape(t, s)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("reclaimers still busy after 5s")
+	syncs := m["citrus_rcu_synchronizes_total"]
+	if syncs == nil || len(syncs.Samples) == 0 {
+		t.Fatal("/metrics.prom has no citrus_rcu_synchronizes_total")
+	}
+	for _, sm := range syncs.Samples {
+		shard := sm.Label("shard")
+		tcd := m["citrus_tree_two_child_deletes_total"].Sample("shard", shard)
+		if tcd == nil || tcd.Value != sm.Value {
+			t.Fatalf("shard %s: citrus_rcu_synchronizes_total = %v, citrus_tree_two_child_deletes_total = %+v; want equal", shard, sm.Value, tcd)
 		}
 	}
 }

@@ -55,21 +55,16 @@ func armStallDetector(f rcu.Flavor, cfg kvConfig, shard int, onStall func(shard 
 }
 
 // newForest builds the server's store: a citrus.Forest of cfg.shards
-// Citrus trees with node recycling (one shard is exactly one tree, one
-// flavor and one reclaimer). Every shard gets its own instance of the
-// selected flavor, the same reclaimer watermarks and the same stall
-// detector, so a stalled reader in one shard leaves the siblings'
-// grace periods — and their reclamation — live.
+// Citrus trees (one shard is exactly one tree and one flavor). Every
+// shard gets its own instance of the selected flavor and the same stall
+// detector, so a stalled reader in one shard leaves the siblings' grace
+// periods live.
 func newForest(cfg kvConfig, onStall func(shard int, r rcu.StallReport)) (*citrus.Forest[int64, string], error) {
 	newFlavor, err := newRCUFlavor(cfg.flavor)
 	if err != nil {
 		return nil, err
 	}
-	f := citrus.NewForest[int64, string](cfg.shards,
-		citrus.WithShardFlavor[int64](newFlavor),
-		citrus.WithShardReclaimerOptions[int64](
-			rcu.WithHighWatermark(cfg.recHigh),
-			rcu.WithHardCap(cfg.recCap)))
+	f := citrus.NewForest[int64, string](cfg.shards, citrus.WithShardFlavor[int64](newFlavor))
 	for i := 0; i < f.NumShards(); i++ {
 		armStallDetector(f.Flavor(i), cfg, i, onStall)
 	}

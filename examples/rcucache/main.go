@@ -112,7 +112,7 @@ func main() {
 		if !*skipGrace {
 			writer.Synchronize() // no pre-existing reader still holds old
 		}
-		// Recycle: overwrite the old payload. If a reader could still be
+		// Reuse: overwrite the old payload. If a reader could still be
 		// inside a critical section holding `old`, this write would be
 		// visible to it as a torn config.
 		for i := range old.payload {

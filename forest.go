@@ -14,8 +14,10 @@ import (
 )
 
 // A Forest is a sharded dictionary: the key space is partitioned across
-// N independent Citrus trees, each with its own RCU domain and deferred
-// reclaimer, behind the same per-goroutine-handle API as Tree.
+// N independent Citrus trees, each with its own RCU domain, behind the
+// same per-goroutine-handle API as Tree. A shard is a tree plus its RCU
+// flavor and nothing else: unlinked nodes are left to the garbage
+// collector, so a forest owns no goroutine and needs no Close.
 //
 // Why shard: a single Citrus tree shares one RCU domain among all its
 // readers, so one slow or stalled reader delays every two-child delete's
@@ -23,8 +25,7 @@ import (
 // Sharding confines that blast radius: a grace period on shard i waits
 // only for readers currently inside shard i's critical sections, so a
 // stalled reader parks its own shard while the siblings' updates keep
-// completing. It also multiplies the update-side lock space and splits
-// reclamation backlogs per shard.
+// completing. It also multiplies the update-side lock space.
 //
 // Routing is by seeded hash (internal shared seed by default): the same
 // key always reaches the same shard for the forest's lifetime, and two
@@ -48,26 +49,22 @@ type Forest[K cmp.Ordered, V any] struct {
 	shards []forestShard[K, V]
 	part   func(K) int
 	seed   maphash.Seed
-	closed bool
 }
 
-// forestShard is one partition: a core tree with recycling, its private
-// RCU flavor (a scalable rcu.Domain unless WithShardFlavor says
-// otherwise), and the reclaimer that runs the shard's deferred frees.
+// forestShard is one partition: a core tree and its private RCU flavor
+// (a scalable rcu.Domain unless WithShardFlavor says otherwise).
 type forestShard[K cmp.Ordered, V any] struct {
 	tree *core.Tree[K, V]
 	dom  rcu.Flavor
-	rec  *rcu.Reclaimer
 }
 
 // ForestOption configures NewForest.
 type ForestOption[K cmp.Ordered] func(*forestConfig[K])
 
 type forestConfig[K cmp.Ordered] struct {
-	seed    maphash.Seed
-	part    func(K) int
-	recOpts []rcu.ReclaimerOption
-	flavor  func() rcu.Flavor
+	seed   maphash.Seed
+	part   func(K) int
+	flavor func() rcu.Flavor
 }
 
 // WithForestSeed sets the routing seed. Forests (and rhash maps, and
@@ -88,10 +85,12 @@ func WithPartition[K cmp.Ordered](fn func(key K) int) ForestOption[K] {
 	return func(c *forestConfig[K]) { c.part = fn }
 }
 
-// WithShardReclaimerOptions passes options (high watermark, hard cap,
-// drain batch, backpressure) to every shard's reclaimer.
+// WithShardReclaimerOptions configures nothing.
+//
+// Deprecated: forest shards own no reclaimer; unlinked nodes are left to
+// the garbage collector.
 func WithShardReclaimerOptions[K cmp.Ordered](opts ...rcu.ReclaimerOption) ForestOption[K] {
-	return func(c *forestConfig[K]) { c.recOpts = append(c.recOpts, opts...) }
+	return func(*forestConfig[K]) {}
 }
 
 // WithShardFlavor replaces the default scalable rcu.Domain with a
@@ -106,10 +105,8 @@ func WithShardFlavor[K cmp.Ordered](newFlavor func() rcu.Flavor) ForestOption[K]
 }
 
 // NewForest returns an empty forest of the given number of shards. Each
-// shard is an independent Citrus tree with node recycling, its own
-// scalable RCU domain (rcu.Domain) and its own reclaimer; the forest
-// owns all of them — call Close when done so the reclaimers drain and
-// stop.
+// shard is an independent Citrus tree with its own scalable RCU domain
+// (rcu.Domain).
 func NewForest[K cmp.Ordered, V any](shards int, opts ...ForestOption[K]) *Forest[K, V] {
 	if shards < 1 {
 		panic("citrus: NewForest needs at least 1 shard")
@@ -135,12 +132,7 @@ func NewForest[K cmp.Ordered, V any](shards int, opts ...ForestOption[K]) *Fores
 		} else {
 			dom = rcu.NewDomain()
 		}
-		rec := rcu.NewReclaimer(dom, cfg.recOpts...)
-		f.shards[i] = forestShard[K, V]{
-			tree: core.NewTreeWithRecycling[K, V](dom, rec),
-			dom:  dom,
-			rec:  rec,
-		}
+		f.shards[i] = forestShard[K, V]{tree: core.NewTree[K, V](dom), dom: dom}
 	}
 	return f
 }
@@ -226,9 +218,6 @@ func (f *Forest[K, V]) DumpTrace() citrustrace.Trace {
 	return citrustrace.MergeShards(shards)
 }
 
-// Reclaimer returns shard i's reclaimer.
-func (f *Forest[K, V]) Reclaimer(i int) *rcu.Reclaimer { return f.shards[i].rec }
-
 // NewHandle registers the calling goroutine with every shard's RCU
 // domain and returns the worker's access point. Like Tree handles, a
 // ForestHandle is not safe for concurrent use: one per goroutine.
@@ -240,29 +229,17 @@ func (f *Forest[K, V]) NewHandle() *ForestHandle[K, V] {
 	return h
 }
 
-// Barrier waits until every shard's reclamation queue, as of the call,
-// has drained: all callbacks deferred before the call have run. Like
-// rcu.Reclaimer.Barrier it does not block new Defers.
-func (f *Forest[K, V]) Barrier() {
-	for i := range f.shards {
-		f.shards[i].rec.Barrier()
-	}
-}
+// Barrier does nothing.
+//
+// Deprecated: forest shards own no reclaimer, so there is no queue to
+// wait for.
+func (f *Forest[K, V]) Barrier() {}
 
-// Close drains and stops every shard's reclaimer. All handles should be
-// closed first. Close is idempotent; operations through handles after
-// Close have shard-reclaimer semantics of Defer-after-Close (the
-// callback runs synchronously after a grace period) and are best
-// avoided.
-func (f *Forest[K, V]) Close() {
-	if f.closed {
-		return
-	}
-	f.closed = true
-	for i := range f.shards {
-		f.shards[i].rec.Close()
-	}
-}
+// Close does nothing.
+//
+// Deprecated: forest shards own no reclaimer, so there is nothing to
+// stop.
+func (f *Forest[K, V]) Close() {}
 
 // Len reports the total number of keys across all shards. Quiescent use
 // only, like Tree.Len.
@@ -350,10 +327,6 @@ type ForestStats struct {
 	// view that shows isolation: a stall in one shard raises that
 	// entry's ActiveStalls while the siblings' Synchronizes advance.
 	Shards []Stats `json:"shards"`
-
-	// Reclaim is the per-shard reclaimer accounting, index-aligned
-	// with Shards.
-	Reclaim []rcu.ReclaimerStats `json:"reclaim"`
 }
 
 // Stats snapshots every shard and folds the totals. Safe to call at any
@@ -363,10 +336,7 @@ type ForestStats struct {
 // cross-shard cut — consistent with the forest's no-cross-shard-
 // consistency contract).
 func (f *Forest[K, V]) Stats() ForestStats {
-	fs := ForestStats{
-		Shards:  make([]Stats, len(f.shards)),
-		Reclaim: make([]rcu.ReclaimerStats, len(f.shards)),
-	}
+	fs := ForestStats{Shards: make([]Stats, len(f.shards))}
 	totalRCU := &rcu.Stats{}
 	for i := range f.shards {
 		s := f.shards[i].tree.Stats()
@@ -380,8 +350,6 @@ func (f *Forest[K, V]) Stats() ForestStats {
 			DeleteRetries:   s.DeleteRetries,
 			TwoChildDeletes: s.TwoChildDeletes,
 			DeleteTimeouts:  s.DeleteTimeouts,
-			NodesRetired:    s.NodesRetired,
-			NodesReused:     s.NodesReused,
 			Scans:           s.Scans,
 			ScanSections:    s.ScanSections,
 			ScanPairs:       s.ScanPairs,
@@ -389,7 +357,6 @@ func (f *Forest[K, V]) Stats() ForestStats {
 			RCU:             s.RCU,
 		}
 		fs.Shards[i] = sh
-		fs.Reclaim[i] = f.shards[i].rec.Stats()
 
 		fs.Total.Contains += sh.Contains
 		fs.Total.Inserts += sh.Inserts
@@ -400,8 +367,6 @@ func (f *Forest[K, V]) Stats() ForestStats {
 		fs.Total.DeleteRetries += sh.DeleteRetries
 		fs.Total.TwoChildDeletes += sh.TwoChildDeletes
 		fs.Total.DeleteTimeouts += sh.DeleteTimeouts
-		fs.Total.NodesRetired += sh.NodesRetired
-		fs.Total.NodesReused += sh.NodesReused
 		fs.Total.Scans += sh.Scans
 		fs.Total.ScanSections += sh.ScanSections
 		fs.Total.ScanPairs += sh.ScanPairs

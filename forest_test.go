@@ -13,7 +13,6 @@ import (
 
 func TestForestBasicOps(t *testing.T) {
 	f := NewForest[int, string](8)
-	defer f.Close()
 	h := f.NewHandle()
 	defer h.Close()
 
@@ -40,7 +39,6 @@ func TestForestBasicOps(t *testing.T) {
 func TestForestSpreadsKeysAcrossShards(t *testing.T) {
 	const shards = 8
 	f := NewForest[int, int](shards)
-	defer f.Close()
 	h := f.NewHandle()
 	defer h.Close()
 	const n = 4096
@@ -73,7 +71,6 @@ func TestForestSpreadsKeysAcrossShards(t *testing.T) {
 
 func TestForestSequentialOracle(t *testing.T) {
 	f := NewForest[int, int](5)
-	defer f.Close()
 	h := f.NewHandle()
 	defer h.Close()
 	oracle := map[int]int{}
@@ -117,9 +114,7 @@ func TestForestSequentialOracle(t *testing.T) {
 func TestForestRoutingStable(t *testing.T) {
 	seed := maphash.MakeSeed()
 	a := NewForest[string, int](4, WithForestSeed[string](seed))
-	defer a.Close()
 	b := NewForest[string, int](4, WithForestSeed[string](seed))
-	defer b.Close()
 	keys := []string{"", "a", "forest", "shard", "grace", "period", "citrus", "rcu"}
 	for _, k := range keys {
 		if sa, sb := a.shardFor(k), b.shardFor(k); sa != sb {
@@ -129,9 +124,7 @@ func TestForestRoutingStable(t *testing.T) {
 
 	// Default-seeded forests agree too (process-wide shared seed).
 	c := NewForest[string, int](4)
-	defer c.Close()
 	d := NewForest[string, int](4)
-	defer d.Close()
 	for _, k := range keys {
 		if sc, sd := c.shardFor(k), d.shardFor(k); sc != sd {
 			t.Fatalf("default forests disagree on %q: shard %d vs %d", k, sc, sd)
@@ -139,7 +132,6 @@ func TestForestRoutingStable(t *testing.T) {
 	}
 
 	e := NewForest[int, int](3, WithPartition[int](func(k int) int { return k % 3 }))
-	defer e.Close()
 	h := e.NewHandle()
 	defer h.Close()
 	for k := 0; k < 30; k++ {
@@ -158,7 +150,6 @@ func TestForestRoutingStable(t *testing.T) {
 
 func TestForestPartitionOutOfRangePanics(t *testing.T) {
 	f := NewForest[int, int](2, WithPartition[int](func(int) int { return 2 }))
-	defer f.Close()
 	h := f.NewHandle()
 	defer h.Close()
 	defer func() {
@@ -171,7 +162,6 @@ func TestForestPartitionOutOfRangePanics(t *testing.T) {
 
 func TestForestConcurrentChurn(t *testing.T) {
 	f := NewForest[int, int](4)
-	defer f.Close()
 	{
 		h := f.NewHandle()
 		for k := 0; k < 128; k++ {
@@ -238,7 +228,6 @@ func TestForestConcurrentChurn(t *testing.T) {
 
 func TestForestDeleteCtx(t *testing.T) {
 	f := NewForest[int, int](2)
-	defer f.Close()
 	h := f.NewHandle()
 	defer h.Close()
 	h.Insert(1, 1)
@@ -267,7 +256,6 @@ func TestForestShardIsolation(t *testing.T) {
 		}
 		return k
 	}))
-	defer f.Close()
 
 	// Park a reader inside shard 0's read-side critical section.
 	r := f.Domain(0).Register()
@@ -324,7 +312,6 @@ func TestForestShardIsolation(t *testing.T) {
 // monotonicity while handles churn and close concurrently.
 func TestForestStatsFold(t *testing.T) {
 	f := NewForest[int, int](3)
-	defer f.Close()
 
 	var wg sync.WaitGroup
 	const workers, per = 4, 2000
@@ -383,9 +370,6 @@ func TestForestStatsFold(t *testing.T) {
 	if shardSum != fs.Total.Inserts {
 		t.Fatalf("shard breakdown sums to %d, Total says %d", shardSum, fs.Total.Inserts)
 	}
-	if len(fs.Reclaim) != f.NumShards() {
-		t.Fatalf("Reclaim breakdown has %d entries for %d shards", len(fs.Reclaim), f.NumShards())
-	}
 	if fs.Total.RCU == nil {
 		t.Fatal("Total.RCU not folded")
 	}
@@ -403,37 +387,10 @@ func TestForestStatsFold(t *testing.T) {
 	}
 }
 
-// Close barriers every shard: all deferred reclamation runs.
-func TestForestCloseDrains(t *testing.T) {
-	f := NewForest[int, int](4)
-	h := f.NewHandle()
-	for k := 0; k < 2000; k++ {
-		h.Insert(k, k)
-	}
-	for k := 0; k < 2000; k++ {
-		h.Delete(k)
-	}
-	h.Close()
-	f.Barrier()
-	f.Close()
-	f.Close() // idempotent
-	fs := f.Stats()
-	for i, rs := range fs.Reclaim {
-		if rs.QueueDepth != 0 {
-			t.Fatalf("shard %d reclaimer left %d callbacks pending after Close", i, rs.QueueDepth)
-		}
-		if rs.Deferred != rs.Executed+rs.Dropped {
-			t.Fatalf("shard %d reclaimer accounting off: deferred %d, executed %d, dropped %d",
-				i, rs.Deferred, rs.Executed, rs.Dropped)
-		}
-	}
-}
-
 // A 1-shard forest must behave exactly like a Tree (the degenerate case
 // the bench uses as its baseline sanity check).
 func TestForestSingleShard(t *testing.T) {
 	f := NewForest[int, int](1)
-	defer f.Close()
 	h := f.NewHandle()
 	defer h.Close()
 	for k := 0; k < 1000; k++ {
@@ -460,7 +417,6 @@ func TestForestSingleShard(t *testing.T) {
 // whole shard into a sort buffer.
 func TestForestOneShardScanStreams(t *testing.T) {
 	f := NewForest[int, int](1)
-	defer f.Close()
 	h := f.NewHandle()
 	defer h.Close()
 	for _, k := range rand.New(rand.NewSource(1)).Perm(10000) {
@@ -477,7 +433,6 @@ func TestForestOneShardScanStreams(t *testing.T) {
 
 func TestForestTracingMergedDump(t *testing.T) {
 	f := NewForest[int, int](4)
-	defer f.Close()
 
 	recs := f.EnableTracing()
 	if len(recs) != 4 {
@@ -541,7 +496,6 @@ func TestForestTracingMergedDump(t *testing.T) {
 func TestForestShardFlavorEBR(t *testing.T) {
 	f := NewForest[int, int](4,
 		WithShardFlavor[int](func() rcu.Flavor { return rcu.NewEpochDomain() }))
-	defer f.Close()
 
 	for i := 0; i < 4; i++ {
 		if _, ok := f.Flavor(i).(*rcu.EpochDomain); !ok {
@@ -559,7 +513,8 @@ func TestForestShardFlavorEBR(t *testing.T) {
 			defer wg.Done()
 			h := f.NewHandle()
 			defer h.Close()
-			for i := g * 256; i < (g+1)*256; i++ {
+			for j := 0; j < 256; j++ {
+				i := g*256 + j*37%256 // scrambled: leaves two-child nodes
 				h.Insert(i, i)
 			}
 			for i := g * 256; i < (g+1)*256; i += 2 {
@@ -574,8 +529,8 @@ func TestForestShardFlavorEBR(t *testing.T) {
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Every shard's epoch domain must have run real grace periods for
-	// the deletes above to have retired nodes.
+	// The shards' epoch domains must have run real grace periods: only
+	// two-child deletes wait for one.
 	syncs := int64(0)
 	for i := 0; i < 4; i++ {
 		syncs += f.Flavor(i).(*rcu.EpochDomain).Stats().Synchronizes
@@ -587,7 +542,6 @@ func TestForestShardFlavorEBR(t *testing.T) {
 
 func TestForestRangeScanLimit(t *testing.T) {
 	f := NewForest[int, int](8)
-	defer f.Close()
 	h := f.NewHandle()
 	defer h.Close()
 	const n = 1000
@@ -641,7 +595,6 @@ func TestForestRangeScanLimit(t *testing.T) {
 
 func TestForestScanBatched(t *testing.T) {
 	f := NewForest[int, int](8)
-	defer f.Close()
 	h := f.NewHandle()
 	defer h.Close()
 	const n = 500

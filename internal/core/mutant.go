@@ -2,11 +2,11 @@ package core
 
 import "sync/atomic"
 
-// Mutants — deliberately broken algorithm variants for torture negative
-// controls, in the spirit of rcu.NoSync: a verification harness is only
-// credible if disabling the mechanism under test makes the harness
-// fail. Production code must never set a mutant; the switch exists so
-// cmd/citrustorture can prove, in CI, that its oracles bite.
+// Mutants — deliberately broken algorithm variants for negative
+// controls, in the spirit of rcu.NoSync: a check is only credible if
+// disabling the mechanism under test makes it fail. Production code must
+// never set a mutant; the switch exists so tests can prove that their
+// checks bite.
 
 // Mutant selects an algorithm mutation.
 type Mutant uint32
@@ -16,11 +16,11 @@ const (
 	MutantNone Mutant = iota
 
 	// MutantIgnoreTags disables the paper's line-38 tag validation: an
-	// update that found a nil child link validates successfully even if
-	// the link was recycled since the tag was read. With node recycling
-	// enabled this recreates the Figure 5 ABA — a stale insert can link
-	// its node under a recycled parent now living elsewhere in the
-	// tree, corrupting BST order.
+	// insert that found a nil child link validates successfully even if
+	// the link was filled and emptied again since the tag was read. That
+	// recreates the Figure 5 ABA — a stale insert can link its node
+	// under a parent whose key range no longer contains the key,
+	// corrupting BST order (TestTagDefeatsABA stages it).
 	MutantIgnoreTags
 )
 
@@ -29,9 +29,6 @@ const (
 // path entirely).
 var activeMutant atomic.Uint32
 
-// SetMutant installs a mutant process-wide. Torture harnesses must
-// restore MutantNone when done.
+// SetMutant installs a mutant process-wide. Callers must restore
+// MutantNone when done.
 func SetMutant(m Mutant) { activeMutant.Store(uint32(m)) }
-
-// CurrentMutant reports the installed mutant.
-func CurrentMutant() Mutant { return Mutant(activeMutant.Load()) }

@@ -92,7 +92,8 @@ func incrementTag[K cmp.Ordered, V any](n *node[K, V], dir int) {
 //   - prev is still in the tree (unmarked),
 //   - prev still links to curr in direction dir,
 //   - curr (if any) is still in the tree, and otherwise
-//   - the nil link was not recycled since the tag was read (line 38).
+//   - the nil link was not filled and emptied since the tag was read
+//     (line 38).
 func validate[K cmp.Ordered, V any](prev *node[K, V], tag uint64, curr *node[K, V], dir int) bool {
 	if prev.marked || prev.child[dir].Load() != curr {
 		return false

@@ -34,7 +34,7 @@ import (
 //     (line 74) — which our read lock blocks. Until we unlock, the
 //     original successor stays reachable ahead of the cursor.
 //   - Single-child deletes unlink a node whose child links stay intact
-//     (retire poisons/reuses only after a grace period), so a scan that
+//     (torture mode poisons them only after a grace period), so a scan that
 //     entered the unlinked node still descends into a valid subtree.
 //
 // The batched variants drop and re-acquire the read lock every `batch`

@@ -95,18 +95,15 @@ type Stats struct {
 	ScanPairs    int64 // key/value pairs emitted by scans
 	ScanNodes    int64 // tree nodes visited by scans
 
-	NodesRetired int64 // nodes handed to the recycling pool (0 without recycling)
-	NodesReused  int64 // pooled nodes reused by inserts (0 without recycling)
-
 	// RCU is the flavor's grace-period accounting, when the flavor
 	// keeps any (nil otherwise — e.g. a NoSync-wrapped flavor). For a
 	// flavor shared between trees it covers all of them.
 	RCU *rcu.Stats
 }
 
-// Stats returns a snapshot of the tree's cumulative operation counters,
-// recycling effectiveness, and — when the flavor supports it — the
-// RCU domain's grace-period statistics. Safe to call at any time from
+// Stats returns a snapshot of the tree's cumulative operation counters
+// and — when the flavor supports it — the RCU domain's grace-period
+// statistics. Safe to call at any time from
 // any goroutine, concurrently with operations and handle churn.
 func (t *Tree[K, V]) Stats() Stats {
 	t.hmu.Lock()
@@ -130,10 +127,6 @@ func (t *Tree[K, V]) Stats() Stats {
 		ScanSections:    tot.scanSections,
 		ScanPairs:       tot.scanPairs,
 		ScanNodes:       tot.scanNodes,
-	}
-	if t.recycle != nil {
-		s.NodesRetired = t.recycle.retired.Load()
-		s.NodesReused = t.recycle.reused.Load()
 	}
 	if src, ok := t.flavor.(rcu.StatsSource); ok {
 		rs := src.Stats()

@@ -119,37 +119,6 @@ func TestTreeStatsNoStatsFlavor(t *testing.T) {
 	}
 }
 
-func TestTreeStatsRecycling(t *testing.T) {
-	dom := rcu.NewDomain()
-	rec := rcu.NewReclaimer(dom)
-	defer rec.Close()
-	tr := NewTreeWithRecycling[int, int](dom, rec)
-	h := tr.NewHandle()
-	defer h.Close()
-	for i := 0; i < 8; i++ {
-		h.Insert(i, i)
-	}
-	for i := 0; i < 8; i++ {
-		h.Delete(i)
-	}
-	rec.Barrier()
-	for i := 0; i < 8; i++ {
-		h.Insert(i, i)
-	}
-	s := tr.Stats()
-	if s.NodesRetired == 0 {
-		t.Fatalf("no retirements recorded: %+v", s)
-	}
-	if s.NodesReused == 0 {
-		t.Fatalf("no reuse recorded after barrier: %+v", s)
-	}
-	retired, reused := tr.RecycleStats()
-	if s.NodesRetired != retired || s.NodesReused != reused {
-		t.Fatalf("Stats (%d/%d) disagrees with RecycleStats (%d/%d)",
-			s.NodesRetired, s.NodesReused, retired, reused)
-	}
-}
-
 // TestStatsSnapshotRace hammers Tree.Stats concurrently with a churning
 // insert/delete/contains workload and handle open/close cycles,
 // asserting all counters are monotonic. Run under -race by the CI race

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/go-citrus/citrus/internal/schedpoint"
 	"github.com/go-citrus/citrus/rcu"
 )
 
@@ -58,29 +59,53 @@ func (ts *tortureState[K, V]) fail(err error) {
 
 // EnableTorture puts the tree in torture mode: retired nodes are handed
 // to rec, checked against oracle (if non-nil) when reclaimed, and — if
-// poison is set — poisoned instead of released. It must be called
-// before the tree is shared between goroutines and at most once.
-//
-// Poisoning is incompatible with node recycling (a poisoned node must
-// never be reused); EnableTorture panics on that combination. On a
-// recycling tree rec may be nil (the pool's reclaimer is used).
+// poison is set — poisoned. It must be called before the tree is shared
+// between goroutines and at most once.
 func (t *Tree[K, V]) EnableTorture(rec *rcu.Reclaimer, oracle ReclaimOracle, poison bool) {
 	if t.torture != nil {
 		panic("citrus: EnableTorture called twice")
 	}
-	if poison && t.recycle != nil {
-		panic("citrus: poisoning is incompatible with node recycling")
-	}
 	if rec == nil {
-		if t.recycle == nil {
-			panic("citrus: EnableTorture needs a Reclaimer on a non-recycling tree")
-		}
-		rec = t.recycle.rec
+		panic("citrus: EnableTorture needs a Reclaimer")
 	}
 	t.torture = &tortureState[K, V]{rec: rec, oracle: oracle, poison: poison}
 	if poison {
 		t.poisonSentinel = &node[K, V]{kind: kindPoisoned, marked: true}
 	}
+}
+
+// retire is called with each node a delete unlinked. Outside torture
+// mode it does nothing: the node is left to the garbage collector, which
+// frees it only once no reader or updater can still reach it — Citrus's
+// updaters search without locks and lock what they found afterwards, so
+// a node must keep its identity while any of them may hold it, and only
+// the GC knows when that is. In torture mode the node goes through the
+// reclaimer, and when its grace period ends the oracle checks that no
+// reader could still reach it and poisoning makes a reader that does
+// anyway trip. Callers guarantee n is unreachable from the root.
+func (t *Tree[K, V]) retire(n *node[K, V]) {
+	tor := t.torture
+	if tor == nil {
+		return
+	}
+	var stamp uint64
+	if tor.oracle != nil {
+		stamp = tor.oracle.RetireStamp()
+	}
+	// A false return means the reclaimer is closed (a delete racing
+	// shutdown) or its hard cap shed the callback: the node stays with
+	// the GC, unchecked and unpoisoned, which is still safe.
+	tor.rec.TryDefer(func() {
+		schedpoint.Hit(schedpoint.CoreBeforeReclaim)
+		if tor.oracle != nil {
+			if err := tor.oracle.CheckReclaim(stamp); err != nil {
+				tor.fail(err)
+			}
+		}
+		if tor.poison {
+			t.poisonNode(n)
+		}
+	})
 }
 
 // TortureReport returns the number of reclamation-oracle violations
@@ -113,8 +138,8 @@ func (t *Tree[K, V]) PoisonTrips() int64 {
 // walking the node (the violation being hunted) observes either the old
 // link or the sentinel, never a torn pointer; its key, value and marked
 // flag are left intact so stale lock-holding updaters (which legally
-// touch retired nodes — see recycle.go rule 2) keep failing validation
-// exactly as on an unpoisoned tree.
+// lock retired nodes they found before the unlink) keep failing
+// validation exactly as on an unpoisoned tree.
 func (t *Tree[K, V]) poisonNode(n *node[K, V]) {
 	n.child[left].Store(t.poisonSentinel)
 	n.child[right].Store(t.poisonSentinel)

@@ -112,61 +112,12 @@ type violationErr struct{}
 
 func (*violationErr) Error() string { return "synthetic reclamation violation" }
 
-// TestEnableTortureRejectsPoisonWithRecycling: a poisoned node must
-// never re-enter the allocation pool.
-func TestEnableTortureRejectsPoisonWithRecycling(t *testing.T) {
-	dom := rcu.NewDomain()
-	rec := rcu.NewReclaimer(dom)
-	defer rec.Close()
-	tr := NewTreeWithRecycling[int, int](dom, rec)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("EnableTorture(poison) on a recycling tree did not panic")
-		}
-	}()
-	tr.EnableTorture(rec, nil, true)
-}
-
-// TestTortureWithRecyclingStillPools: oracle checks compose with node
-// recycling — retired nodes are checked, then pooled as usual.
-func TestTortureWithRecyclingStillPools(t *testing.T) {
-	dom := rcu.NewDomain()
-	rec := rcu.NewReclaimer(dom)
-	defer rec.Close()
-	tr := NewTreeWithRecycling[int, int](dom, rec)
-	orc := &stampOracle{}
-	tr.EnableTorture(nil, orc, false) // nil rec: reuse the pool's
-
-	h := tr.NewHandle()
-	defer h.Close()
-	for k := 0; k < 8; k++ {
-		h.Insert(k, k)
-	}
-	for k := 0; k < 8; k++ {
-		h.Delete(k)
-	}
-	rec.Barrier()
-	if orc.checks == 0 {
-		t.Fatal("no oracle checks on the recycling path")
-	}
-	retired, _ := tr.RecycleStats()
-	if int(retired) != orc.stamps {
-		t.Fatalf("stamps = %d, want %d (one per retired node)", orc.stamps, retired)
-	}
-	for k := 0; k < 8; k++ {
-		h.Insert(k, k)
-	}
-	if _, reused := tr.RecycleStats(); reused == 0 {
-		t.Fatal("oracle checks disabled pooling: no nodes reused")
-	}
-}
-
 // TestMutantIgnoreTagsDisablesLine38: validate with a stale tag fails
 // on the correct build and passes under the mutant — the white-box pin
-// that the torture negative control relies on.
+// that TestTagDefeatsABA's negative control relies on.
 func TestMutantIgnoreTagsDisablesLine38(t *testing.T) {
 	n := &node[int, int]{key: 10}
-	n.tag[left].Add(2) // the slot was recycled since the tag was read
+	n.tag[left].Add(2) // the slot was filled and emptied since the tag was read
 	staleTag := uint64(0)
 	if validate(n, staleTag, nil, left) {
 		t.Fatal("correct validate accepted a stale tag")

@@ -99,8 +99,8 @@ func (tc *opTrace) syncWait(w0 time.Time) {
 	tc.ring.Record(citrustrace.EvSyncWait, w0, time.Since(w0), 0, 0, 0)
 }
 
-// retired records that the operation handed n nodes to deferred
-// reclamation.
+// retired records that the operation unlinked n nodes, which are left
+// to the GC.
 func (tc *opTrace) retired(n uint64) {
 	if tc == nil {
 		return

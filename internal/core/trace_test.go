@@ -121,37 +121,6 @@ func TestTraceEventsMirrorOperations(t *testing.T) {
 	}
 }
 
-func TestReclaimEventsWithRecycling(t *testing.T) {
-	dom := rcu.NewDomain()
-	rc := rcu.NewReclaimer(dom)
-	defer rc.Close()
-	tr := NewTreeWithRecycling[int, int](dom, rc)
-	rec := citrustrace.New()
-	tr.SetTracer(rec)
-	h := tr.NewHandle()
-	defer h.Close()
-	for k := 0; k < 32; k++ {
-		h.Insert(k, k)
-	}
-	for k := 0; k < 32; k++ {
-		h.Delete(k)
-	}
-	rc.Barrier() // drain deferred reclamation
-	var reclaims int
-	for _, ev := range rec.Snapshot().Events {
-		if ev.Type == citrustrace.EvReclaim {
-			reclaims++
-		}
-	}
-	retired, _ := tr.RecycleStats()
-	if reclaims == 0 {
-		t.Fatal("no EvReclaim events after draining the reclaimer")
-	}
-	if int64(reclaims) != retired {
-		t.Errorf("EvReclaim events = %d, want %d (nodes retired)", reclaims, retired)
-	}
-}
-
 // TestTraceToggleAndDumpUnderChurn is the -race hammer required by the
 // issue: DumpTrace (Recorder.Snapshot) and SetTracer toggles run
 // against concurrent insert/delete/contains without synchronization

@@ -17,9 +17,8 @@ import (
 // wait-free contains (RCU). Create one with NewTree and access it through
 // per-goroutine Handles.
 type Tree[K cmp.Ordered, V any] struct {
-	flavor  rcu.Flavor
-	root    *node[K, V] // −∞ sentinel; its right child is the +∞ sentinel
-	recycle *nodePool[K, V]
+	flavor rcu.Flavor
+	root   *node[K, V] // −∞ sentinel; its right child is the +∞ sentinel
 
 	// tracer is the attached flight recorder, nil while tracing is
 	// disabled (see trace.go). Every operation loads it once.
@@ -138,12 +137,11 @@ func (h *Handle[K, V]) get(key K) (prev *node[K, V], tag uint64, curr *node[K, V
 // locks and never retries.
 //
 // The paper reads the value after get returns; here the search is inlined
-// so the value is captured *inside* the read-side critical section. The
-// distinction is invisible without node recycling (values are immutable
-// while a node is reachable, and the GC keeps unreachable nodes intact),
-// but with NewTreeWithRecycling a retired node may be reinitialized as
-// soon as the grace period ends, and only reads inside the critical
-// section are covered by it.
+// so the value is captured *inside* the read-side critical section. Values
+// are immutable while a node is reachable, and the GC keeps unreachable
+// nodes intact, so the two read the same value; reading inside the section
+// keeps Contains correct for any reclamation that reuses memory after a
+// grace period, which covers only reads inside the section.
 func (h *Handle[K, V]) Contains(key K) (V, bool) {
 	if h.t.tracer.Load() != nil {
 		return h.containsTraced(key)
@@ -192,23 +190,34 @@ func (h *Handle[K, V]) Insert(key K, value V) bool {
 		// Torture window: (prev, tag) go stale here — the window tag
 		// validation (Lemma 3 / Figure 5) exists for.
 		schedpoint.Hit(schedpoint.CoreSearchToLock)
-		tc.lock(&prev.mu, citrustrace.SiteInsertParent) // line 26
-		if validate(prev, tag, nil, dir) {
-			n := h.t.newNodeReusing(key, value) // line 28: create a new leaf node
-			// Torture window: validated but not yet linked, stretching
-			// the lock hold every concurrent conflicting update must
-			// fail validation against.
-			schedpoint.Hit(schedpoint.CoreValidateToLink)
-			prev.child[dir].Store(n) // line 29
-			prev.mu.Unlock()
-			h.ops.inserts.inc()
-			tc.end(citrustrace.EvInsert, 1)
+		if h.link(tc, prev, tag, dir, key, value) {
 			return true
 		}
+	}
+}
+
+// link is one locked attempt of Insert (lines 26–32): lock prev,
+// validate the (prev, tag, dir) its search found, and link a new leaf
+// there. It returns false, with prev unlocked and the tree unchanged,
+// when validation fails and Insert must search again.
+func (h *Handle[K, V]) link(tc *opTrace, prev *node[K, V], tag uint64, dir int, key K, value V) bool {
+	tc.lock(&prev.mu, citrustrace.SiteInsertParent) // line 26
+	if !validate(prev, tag, nil, dir) {
 		prev.mu.Unlock() // line 32: validation failed, release and retry
 		h.ops.insertRetries.inc()
 		tc.validateFail(citrustrace.SiteValidateInsert)
+		return false
 	}
+	n := newNode(key, value) // line 28: create a new leaf node
+	// Torture window: validated but not yet linked, stretching the lock
+	// hold every concurrent conflicting update must fail validation
+	// against.
+	schedpoint.Hit(schedpoint.CoreValidateToLink)
+	prev.child[dir].Store(n) // line 29
+	prev.mu.Unlock()
+	h.ops.inserts.inc()
+	tc.end(citrustrace.EvInsert, 1)
+	return true
 }
 
 // Delete removes key from the dictionary (lines 42–84). It returns false
@@ -280,7 +289,7 @@ func (h *Handle[K, V]) DeleteCtx(ctx context.Context, key K) (bool, error) {
 			incrementTag(prev, dir)     // line 54
 			curr.mu.Unlock()
 			prev.mu.Unlock() // line 55: release all locks
-			h.t.retire(curr) // reclamation extension: pool after a grace period
+			h.t.retire(curr) // left to the GC (torture mode: checked, poisoned)
 			h.ops.deletes.inc()
 			tc.retired(1)
 			tc.end(citrustrace.EvDelete, 1)
@@ -308,7 +317,7 @@ func (h *Handle[K, V]) DeleteCtx(ctx context.Context, key K) (bool, error) {
 		if validate(prevSucc, 0, succ, succDir) &&
 			validate(succ, succ.tag[left].Load(), nil, left) { // line 69
 			// line 70: new node with succ's key/value and curr's children.
-			n := h.t.newNodeReusing(succ.key, succ.value)
+			n := newNode(succ.key, succ.value)
 			n.child[left].Store(currLeft)
 			n.child[right].Store(currRight)
 			n.mu.Lock()              // line 71
@@ -395,6 +404,6 @@ func (t *Tree[K, V]) completeTwoChildDelete(prev, curr, prevSucc, succ, n *node[
 	}
 	curr.mu.Unlock()
 	prev.mu.Unlock()
-	t.retire(curr) // reclamation extension
+	t.retire(curr)
 	t.retire(succ)
 }

@@ -52,54 +52,68 @@ func TestValidateDirect(t *testing.T) {
 	}
 }
 
-// TestTagDefeatsABA reconstructs the exact ABA the tags exist for (§3):
-// an insert reads (prev, tag) with prev.child[dir] == nil; before it
-// locks, a concurrent leaf insert fills the slot and a delete re-empties
-// it by *moving* the leaf (successor copy). Without the tag, the slot
-// looks unchanged (nil then, nil now) and the insert would attach its
-// node below a parent whose range no longer contains the key.
+// TestTagDefeatsABA stages the interleaving the line-38 tag exists for
+// (Lemma 3, Figure 5). Insert(11) searches 10 → 15 and stops before it
+// locks, holding (prev 15, left, tag) with 15.left nil. Meanwhile 12 is
+// inserted as 15.left and 10 is deleted: 10 has two children, so its
+// successor 12 is copied up into its place and the old 12 unlinked,
+// leaving 15.left nil again — but 15 now sits right of 12, where 11
+// does not belong, and only the bumped tag tells. On the correct
+// algorithm the resumed link attempt fails validation and the retried
+// insert links 11 under 5; under MutantIgnoreTags it links 11 under
+// 15, breaking BST order so that Get(11) misses.
 func TestTagDefeatsABA(t *testing.T) {
-	tr := NewTree[int, int](rcu.NewDomain())
-	h := tr.NewHandle()
-	defer h.Close()
+	for _, tc := range []struct {
+		name   string
+		mutant Mutant
+	}{{"correct", MutantNone}, {"ignoretags", MutantIgnoreTags}} {
+		t.Run(tc.name, func(t *testing.T) {
+			SetMutant(tc.mutant)
+			defer SetMutant(MutantNone)
+			tr := NewTree[int, int](rcu.NewDomain())
+			stale, other := tr.NewHandle(), tr.NewHandle()
+			defer stale.Close()
+			defer other.Close()
+			for _, k := range []int{10, 5, 15} {
+				other.Insert(k, k)
+			}
 
-	// 40's right slot is empty; an insert of 45 would go there.
-	for _, k := range []int{50, 40, 60} {
-		h.Insert(k, k)
-	}
-	inf := tr.root.child[right].Load()
-	n50 := inf.child[left].Load()
-	n40 := n50.child[left].Load()
-	if n40.key != 40 {
-		t.Fatalf("layout: got %d, want 40", n40.key)
-	}
+			prev, tag, curr, dir := stale.get(11) // Insert(11)'s search
+			if curr != nil || prev.key != 15 || dir != left {
+				t.Fatalf("search for 11 ended at (%v, dir %d, found %v), want 15.left, not found", prev.key, dir, curr != nil)
+			}
+			other.Insert(12, 12) // fills 15.left
+			other.Delete(10)     // moves 12 up: 15.left is nil again
+			if prev.child[left].Load() != nil {
+				t.Fatal("15.left is not empty again after the delete")
+			}
 
-	staleTag := n40.tag[right].Load()
-	if n40.child[right].Load() != nil {
-		t.Fatal("40.right should be empty")
-	}
-
-	// A: fill the slot (insert 45 as 40's right child).
-	h.Insert(45, 45)
-	if n40.child[right].Load() == nil {
-		t.Fatal("45 did not land on 40.right")
-	}
-	// B: empty it again by deleting 40 — 40 has two children now? No:
-	// 40 has only the right child 45, so delete bypasses 40 and 45 moves
-	// up... that changes prev. Instead delete 45 itself: the slot returns
-	// to nil — the ABA.
-	h.Delete(45)
-	if n40.child[right].Load() != nil {
-		t.Fatal("slot did not return to nil")
-	}
-
-	// The stale (prev, tag, nil, dir) triple from before A/B must now
-	// fail validation even though the slot content (nil) is identical.
-	n40.mu.Lock()
-	ok := validate(n40, staleTag, nil, right)
-	n40.mu.Unlock()
-	if ok {
-		t.Fatal("ABA undetected: stale tag validated against a recycled nil slot")
+			linked := stale.link(nil, prev, tag, dir, 11, 11) // Insert(11) resumes
+			if !linked {
+				stale.Insert(11, 11) // the retry: search again, link again
+			}
+			_, found := stale.Contains(11)
+			err := tr.CheckInvariants()
+			if tc.mutant == MutantNone {
+				if linked {
+					t.Fatal("the stale link attempt validated: the tag did not catch the ABA")
+				}
+				if err != nil || !found {
+					t.Fatalf("after the retried insert: invariants %v, Get(11) found %v", err, found)
+				}
+				top := tr.root.child[right].Load().child[left].Load() // the copy of 12
+				if n11 := top.child[left].Load().child[right].Load(); n11 == nil || n11.key != 11 {
+					t.Fatal("11 is not 5's right child")
+				}
+				return
+			}
+			if !linked || prev.child[left].Load() == nil || prev.child[left].Load().key != 11 {
+				t.Fatal("under MutantIgnoreTags the stale attempt did not link 11 under 15")
+			}
+			if err == nil || found {
+				t.Fatalf("under MutantIgnoreTags: invariants %v, Get(11) found %v; want a BST order violation and a miss", err, found)
+			}
+		})
 	}
 }
 

@@ -91,7 +91,6 @@ func Run(factory dict.Factory[int, int], cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("harness: invalid config %+v", cfg)
 	}
 	m := factory()
-	defer impls.CloseMap(m) // forests own reclaimer goroutines per shard
 	if cfg.Prefill {
 		workload.Prefill(m, cfg.KeyRange, int64(cfg.Seed))
 	}

@@ -99,13 +99,6 @@ func NewCitrusWithFlavor[K cmp.Ordered, V any](flavor rcu.Flavor, name string) d
 	return &citrusMap[K, V]{t: core.NewTree[K, V](flavor), name: name}
 }
 
-// NewCitrusRecyclingWithFlavor returns a Citrus tree with node
-// recycling through rec, for stats/ablation runs that report pool
-// effectiveness. The caller owns rec's lifecycle.
-func NewCitrusRecyclingWithFlavor[K cmp.Ordered, V any](flavor rcu.Flavor, rec *rcu.Reclaimer, name string) dict.Map[K, V] {
-	return &citrusMap[K, V]{t: core.NewTreeWithRecycling[K, V](flavor, rec), name: name}
-}
-
 // nativeHandle is the method set every native structure's handle
 // provides on its own: single-key ops plus the weakly consistent scans
 // added across the module. It is dict.Handle minus Snapshot.
@@ -306,9 +299,8 @@ func (h lockedHandle[K, V]) Close() {}
 
 // NewForestMap returns a sharded Citrus forest behind the dict API:
 // the key space hash-partitioned over the given number of independent
-// trees, each with its own RCU domain and reclaimer. The returned map
-// implements MapCloser (the forest owns per-shard reclaimer goroutines)
-// and ForestStatser.
+// trees, each with its own RCU domain. The returned map implements
+// ForestStatser.
 func NewForestMap[K cmp.Ordered, V any](shards int) dict.Map[K, V] {
 	name := NameForest
 	if shards != 1 {
@@ -327,13 +319,6 @@ func ForestFactory[K cmp.Ordered, V any](shards int) NamedFactory[K, V] {
 	return NamedFactory[K, V]{name, func() dict.Map[K, V] { return NewForestMap[K, V](shards) }}
 }
 
-// MapCloser is implemented by maps that own background resources (the
-// forest's per-shard reclaimers); harness and test drivers type-assert
-// and call Close after the last handle is done.
-type MapCloser interface {
-	Close()
-}
-
 // ForestStatser exposes the forest's folded + per-shard statistics.
 type ForestStatser interface {
 	ForestStats() citrus.ForestStats
@@ -349,7 +334,6 @@ func (m *forestMap[K, V]) Len() int                        { return m.f.Len() }
 func (m *forestMap[K, V]) Keys() []K                       { return m.f.Keys() }
 func (m *forestMap[K, V]) CheckInvariants() error          { return m.f.CheckInvariants() }
 func (m *forestMap[K, V]) Name() string                    { return m.name }
-func (m *forestMap[K, V]) Close()                          { m.f.Close() }
 func (m *forestMap[K, V]) ForestStats() citrus.ForestStats { return m.f.Stats() }
 
 type forestHandle[K cmp.Ordered, V any] struct {
@@ -365,14 +349,6 @@ func (h forestHandle[K, V]) RangeScan(lo, hi K, fn func(key K, value V) bool) {
 func (h forestHandle[K, V]) Scan(fn func(key K, value V) bool) { h.h.Scan(fn) }
 func (h forestHandle[K, V]) Snapshot() dict.Snapshot[K, V]     { return dict.NewWeakSnapshot[K, V](h) }
 func (h forestHandle[K, V]) Close()                            { h.h.Close() }
-
-// CloseMap releases a map's background resources when it has any (a
-// no-op for every non-forest implementation).
-func CloseMap[K cmp.Ordered, V any](m dict.Map[K, V]) {
-	if c, ok := m.(MapCloser); ok {
-		c.Close()
-	}
-}
 
 // A NamedFactory pairs a display name with a factory.
 type NamedFactory[K cmp.Ordered, V any] struct {

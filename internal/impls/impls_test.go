@@ -22,26 +22,39 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestConformanceRecyclingCitrus runs the same battery over Citrus with
-// node recycling enabled — the configuration where use-after-retirement
-// bugs would surface.
+// TestConformanceRecyclingCitrus runs the battery over Citrus in the
+// configuration where use-after-retirement bugs surface. It used to run
+// with node recycling, which is deleted; now every unlinked node goes
+// through a reclaimer and is overwritten — poisoned, its child links
+// swung to a dead-end sentinel — the moment its grace period ends, the
+// instant the recycling pool reused it. A search that still reaches a
+// node then walks onto the sentinel: the battery sees a miss, and the
+// cleanup counts the trip.
 func TestConformanceRecyclingCitrus(t *testing.T) {
 	var mu sync.Mutex
-	var recs []*rcu.Reclaimer
+	type subject struct {
+		tr  *core.Tree[int, int]
+		rec *rcu.Reclaimer
+	}
+	var subjects []subject
 	t.Cleanup(func() {
 		mu.Lock()
 		defer mu.Unlock()
-		for _, r := range recs {
-			r.Close()
+		for _, s := range subjects {
+			s.rec.Close() // runs every pending poisoning
+			if n := s.tr.PoisonTrips(); n != 0 {
+				t.Errorf("%d search(es) walked a node after its grace period", n)
+			}
 		}
 	})
 	factory := func() dict.Map[int, int] {
 		dom := rcu.NewDomain()
-		rec := rcu.NewReclaimer(dom)
+		s := subject{core.NewTree[int, int](dom), rcu.NewReclaimer(dom)}
+		s.tr.EnableTorture(s.rec, nil, true)
 		mu.Lock()
-		recs = append(recs, rec)
+		subjects = append(subjects, s)
 		mu.Unlock()
-		return &recyclingMap{t: core.NewTreeWithRecycling[int, int](dom, rec)}
+		return &citrusMap[int, int]{t: s.tr, name: "Citrus (poisoned)"}
 	}
 	dicttest.RunAll(t, factory)
 }
@@ -58,11 +71,3 @@ func TestConformanceForest(t *testing.T) {
 		})
 	}
 }
-
-type recyclingMap struct{ t *core.Tree[int, int] }
-
-func (m *recyclingMap) NewHandle() dict.Handle[int, int] { return weak[int, int](m.t.NewHandle()) }
-func (m *recyclingMap) Len() int                         { return m.t.Len() }
-func (m *recyclingMap) Keys() []int                      { return m.t.Keys() }
-func (m *recyclingMap) CheckInvariants() error           { return m.t.CheckInvariants() }
-func (m *recyclingMap) Name() string                     { return "Citrus (recycling)" }

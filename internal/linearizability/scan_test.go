@@ -192,7 +192,6 @@ func TestRealScanHistoriesValid(t *testing.T) {
 					ops = append(ops, h.Ops()...)
 					h.Close()
 				}
-				impls.CloseMap(m)
 				if err := Check(ops, 0); err != nil {
 					t.Fatalf("round %d: %v\nhistory:\n%s", round, err, dumpOps(ops))
 				}

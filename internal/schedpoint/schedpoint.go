@@ -64,8 +64,8 @@ const (
 	CoreMarkToGrace
 
 	// CoreBeforeReclaim sits on the reclaimer goroutine immediately
-	// before a retired node is reclaimed (poisoned or pooled), after
-	// its grace period elapsed.
+	// before a retired node is reclaimed (checked and poisoned in
+	// torture mode), after its grace period elapsed.
 	CoreBeforeReclaim
 
 	// CoreReadCS sits inside the read-side critical section's descent

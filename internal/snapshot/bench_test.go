@@ -6,14 +6,12 @@ import (
 	"testing"
 
 	citrus "github.com/go-citrus/citrus"
-	"github.com/go-citrus/citrus/rcu"
 )
 
 // BenchmarkSnapshotRecover is kvserver's snapshot recovery on its own:
 // it loads a snapshot of 30 000 ascending keys — the order the fuzzy
-// scan writes — into a recycling Citrus tree over rcu.Domain, with the
-// reclaimer watermarks kvserver uses by default (-reclaim-high 1024,
-// -reclaim-cap 8192), and reports the height of the tree it built.
+// scan writes — into a Citrus tree over rcu.Domain, as a kvserver shard
+// holds it, and reports the height of the tree it built.
 func BenchmarkSnapshotRecover(b *testing.B) {
 	const n = 30000
 	dir := b.TempDir()
@@ -33,9 +31,7 @@ func BenchmarkSnapshotRecover(b *testing.B) {
 	}
 	var tree *citrus.Tree[int64, string]
 	for b.Loop() {
-		dom := rcu.NewDomain()
-		rec := rcu.NewReclaimer(dom, rcu.WithHighWatermark(1024), rcu.WithHardCap(8192))
-		tree = citrus.NewWithRecycling[int64, string](dom, rec)
+		tree = citrus.New[int64, string]()
 		h := tree.NewHandle()
 		_, _, err := Load(dir, func(k int64, v string) error {
 			if !h.Insert(k, v) {
@@ -44,7 +40,6 @@ func BenchmarkSnapshotRecover(b *testing.B) {
 			return nil
 		})
 		h.Close()
-		rec.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -108,14 +108,8 @@ func buildForestSubject(cfg Config) (*subject, error) {
 				rcu.WithDrainBatch(stallBatch))
 		}
 		rec := rcu.NewReclaimer(o, recOpts...)
-		var tr *core.Tree[int, int]
-		if cfg.Recycle {
-			tr = core.NewTreeWithRecycling[int, int](o, rec)
-			tr.EnableTorture(rec, o, false)
-		} else {
-			tr = core.NewTree[int, int](o)
-			tr.EnableTorture(rec, o, true)
-		}
+		tr := core.NewTree[int, int](o)
+		tr.EnableTorture(rec, o, true)
 		fs.trees[i], fs.oracles[i], fs.recs[i] = tr, o, rec
 	}
 
@@ -207,9 +201,6 @@ func buildForestSubject(cfg Config) (*subject, error) {
 				v.ReclaimChecks += fs.oracles[i].Checks()
 				v.ReclaimViolations += fs.oracles[i].Violations()
 				v.PoisonTrips += fs.trees[i].PoisonTrips()
-				retired, reused := fs.trees[i].RecycleStats()
-				v.NodesRetired += retired
-				v.NodesReused += reused
 				rs := fs.recs[i].Stats()
 				v.ReclaimDropped += rs.Dropped
 				v.ReclaimExpedited += rs.ExpeditedDrains

@@ -19,20 +19,19 @@ import (
 // Config selects what to torture and how hard. The zero value is not
 // runnable; Run fills defaults for Duration/Threads/KeyRange but the
 // subject fields mean: Impl "" or "citrus" is the Citrus tree under the
-// flavor/mutant/recycle knobs, any other value must match a registry
-// name from internal/impls (case-insensitive), for which the knobs must
-// be left at their zero values.
+// flavor knob, "forest" the sharded Citrus forest under the flavor and
+// shards knobs, any other value must match a registry name from
+// internal/impls (case-insensitive), for which the knobs must be left
+// at their zero values.
 type Config struct {
 	Seed     uint64        // master seed: injection policy + workloads derive from it
 	Duration time.Duration // total time box (default 2s)
 	Threads  int           // churn workers (default 8)
 	KeyRange int           // churn key range (default 64; small = conflict-heavy)
 
-	Impl    string // "", "citrus", "forest", or an impls registry name
-	Flavor  string // "", "scalable", "classic", "ebr", "nosync", "snapearly", "ebrearly", "stalledreader", "scanstorm", "scanhog" — citrus/forest only (scanhog: citrus only)
-	Mutant  string // "", "ignoretags" — Citrus only
-	Recycle bool   // node recycling (citrus/forest; disables poisoning)
-	Shards  int    // forest shard count (default 4; forest only)
+	Impl   string // "", "citrus", "forest", or an impls registry name
+	Flavor string // "", "scalable", "classic", "ebr", "nosync", "snapearly", "ebrearly", "stalledreader", "scanstorm", "scanhog" — citrus/forest only (scanhog: citrus only)
+	Shards int    // forest shard count (default 4; forest only)
 
 	MaxSleep time.Duration // cap on injected sleeps (0 = schedpoint default)
 }
@@ -42,12 +41,10 @@ type Config struct {
 // by re-running with the same Config — Seed drives every injection
 // decision and every workload draw.
 type Verdict struct {
-	Seed    uint64 `json:"seed"`
-	Impl    string `json:"impl"`
-	Flavor  string `json:"flavor,omitempty"`
-	Mutant  string `json:"mutant,omitempty"`
-	Recycle bool   `json:"recycle,omitempty"`
-	Shards  int    `json:"shards,omitempty"`
+	Seed   uint64 `json:"seed"`
+	Impl   string `json:"impl"`
+	Flavor string `json:"flavor,omitempty"`
+	Shards int    `json:"shards,omitempty"`
 
 	Passed         bool     `json:"passed"`
 	Failures       []string `json:"failures,omitempty"`
@@ -86,8 +83,6 @@ type Verdict struct {
 	// parked — the shard-isolation positive control. Zero means the
 	// stall leaked across shards (or nothing ran), and the run fails.
 	SiblingSyncs int64             `json:"sibling_syncs,omitempty"`
-	NodesRetired int64             `json:"nodes_retired,omitempty"`
-	NodesReused  int64             `json:"nodes_reused,omitempty"`
 	PointHits    map[string]uint64 `json:"point_hits"`
 	ElapsedMS    int64             `json:"elapsed_ms"`
 }
@@ -104,7 +99,7 @@ type subject struct {
 	keys      func() []int
 	check     func() error
 	barrier   func()                // flush retirements; nil when not applicable
-	fold      func(v *Verdict)      // accumulate oracle/pool stats; nil ok
+	fold      func(v *Verdict)      // accumulate oracle/reclaimer stats; nil ok
 	violation func() (int64, error) // oracle verdict; nil when no oracle
 	close     func()
 }
@@ -121,13 +116,10 @@ func buildSubject(cfg Config) (*subject, error) {
 		return buildCitrusSubject(cfg)
 	}
 	if strings.EqualFold(name, "forest") {
-		if cfg.Mutant != "" {
-			return nil, fmt.Errorf("mutants apply only to the citrus subject, not %q", name)
-		}
 		return buildForestSubject(cfg)
 	}
-	if cfg.Flavor != "" || cfg.Mutant != "" || cfg.Recycle {
-		return nil, fmt.Errorf("flavor/mutant/recycle apply only to the citrus subject, not %q", name)
+	if cfg.Flavor != "" {
+		return nil, fmt.Errorf("flavor applies only to the citrus and forest subjects, not %q", name)
 	}
 	for _, f := range impls.All[int, int]() {
 		if strings.EqualFold(f.Name, name) {
@@ -255,14 +247,8 @@ func buildCitrusSubject(cfg Config) (*subject, error) {
 			rcu.WithDrainBatch(stallBatch))
 	}
 	rec := rcu.NewReclaimer(o, recOpts...)
-	var tr *core.Tree[int, int]
-	if cfg.Recycle {
-		tr = core.NewTreeWithRecycling[int, int](o, rec)
-		tr.EnableTorture(rec, o, false) // poisoned nodes must never be pooled
-	} else {
-		tr = core.NewTree[int, int](o)
-		tr.EnableTorture(rec, o, true)
-	}
+	tr := core.NewTree[int, int](o)
+	tr.EnableTorture(rec, o, true)
 	stopParker := func() {}
 	if stalldom != nil {
 		// The parker registers through the oracle like every other
@@ -301,9 +287,6 @@ func buildCitrusSubject(cfg Config) (*subject, error) {
 			v.ReclaimChecks += o.Checks()
 			v.ReclaimViolations += o.Violations()
 			v.PoisonTrips += tr.PoisonTrips()
-			retired, reused := tr.RecycleStats()
-			v.NodesRetired += retired
-			v.NodesReused += reused
 			v.StallReports += stallReports.Load()
 			rs := rec.Stats()
 			v.ReclaimDropped += rs.Dropped
@@ -396,14 +379,6 @@ func Run(cfg Config) (*Verdict, error) {
 	} else {
 		s.close()
 	}
-	switch cfg.Mutant {
-	case "":
-	case "ignoretags":
-		core.SetMutant(core.MutantIgnoreTags)
-		defer core.SetMutant(core.MutantNone)
-	default:
-		return nil, fmt.Errorf("unknown mutant %q (ignoretags)", cfg.Mutant)
-	}
 
 	pol := schedpoint.NewPolicy(cfg.Seed)
 	if cfg.MaxSleep > 0 {
@@ -412,7 +387,7 @@ func Run(cfg Config) (*Verdict, error) {
 	schedpoint.Enable(pol)
 	defer schedpoint.Disable()
 
-	v := &Verdict{Seed: cfg.Seed, Impl: cfg.Impl, Flavor: cfg.Flavor, Mutant: cfg.Mutant, Recycle: cfg.Recycle}
+	v := &Verdict{Seed: cfg.Seed, Impl: cfg.Impl, Flavor: cfg.Flavor}
 	if v.Impl == "" {
 		v.Impl = "citrus"
 	}

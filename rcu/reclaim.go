@@ -119,10 +119,11 @@ func WithHighWatermark(n int) ReclaimerOption {
 // still full the callback is dropped — Stats.Dropped is incremented,
 // Defer returns normally and TryDefer returns false — and the retired
 // object is left to the garbage collector. Dropping is safe for
-// memory-only cleanup (pooled nodes); callbacks with external side
-// effects (closing descriptors) should not share a capped reclaimer
-// with floodable paths. n <= 0 means unbounded (the default). Barrier
-// callbacks bypass the cap so Barrier cannot deadlock against it.
+// memory-only cleanup (poisoning a retired node); callbacks with
+// external side effects (closing descriptors) should not share a capped
+// reclaimer with floodable paths. n <= 0 means unbounded (the
+// default). Barrier callbacks bypass the cap so Barrier cannot deadlock
+// against it.
 func WithHardCap(n int) ReclaimerOption {
 	return func(r *Reclaimer) {
 		if n < 0 {
