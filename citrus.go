@@ -148,7 +148,7 @@ type Stats struct {
 	DeleteMisses    int64 `json:"delete_misses"`     // Delete calls that found no key
 	DeleteRetries   int64 `json:"delete_retries"`    // delete validation failures (retried)
 	TwoChildDeletes int64 `json:"two_child_deletes"` // successor-relocation deletes = inline grace periods
-	DeleteTimeouts  int64 `json:"delete_timeouts"`   // DeleteCtx grace-period waits cut by the deadline
+	DeleteTimeouts  int64 `json:"delete_timeouts"`   // DeleteCtx/DeleteWithin grace-period waits cut by the bound
 
 	Scans        int64 `json:"scans"`         // RangeScan/Scan calls (batched or not)
 	ScanSections int64 `json:"scan_sections"` // read-side critical sections opened by scans

@@ -166,7 +166,11 @@ func TestLineTooLong(t *testing.T) {
 
 // TestReplyAllocs pins what the connection loop's append path
 // allocates per request once its reply buffer is warm: at most 2
-// allocations for a GET and 12 for a 100-pair SCAN page.
+// allocations for a GET, 12 for a 100-pair SCAN page, 2 for a DEL of an
+// absent key and 4 for a SET and DEL of a leaf key. A row of several
+// lines runs them in order and counts them together. The server runs
+// with the default -optimeout, which a DEL that waits for no grace
+// period must not pay for with a timer or a context.
 func TestReplyAllocs(t *testing.T) {
 	s, h := newTestServer()
 	defer h.Close()
@@ -180,9 +184,14 @@ func TestReplyAllocs(t *testing.T) {
 	}{
 		{"GET 500", 2},
 		{"SCAN 100 1000 100", 12},
+		{"DEL 5000", 2},
+		{"SET 5000 k0005000.g0000001\nDEL 5000", 4},
 	} {
+		lines := strings.Split(tc.line, "\n")
 		allocs := testing.AllocsPerRun(200, func() {
-			buf, _ = s.appendReply(buf[:0], h, tc.line)
+			for _, line := range lines {
+				buf, _ = s.appendReply(buf[:0], h, line)
+			}
 		})
 		t.Logf("%s: %v allocations", tc.line, allocs)
 		if allocs > tc.max {
@@ -196,8 +205,9 @@ var execSink string
 // BenchmarkExecTCP times one TCP request through exec on a one-shard
 // server holding 1e5 keys (the even keys of [0, 2e5), inserted in a
 // seeded random order, 17-byte values): a GET hit, a GET miss, a SET of
-// an existing key (answered EXISTS, so the tree does not change) and a
-// 100-pair SCAN page.
+// an existing key (answered EXISTS, so the tree does not change), a DEL
+// of an absent key under the default -optimeout (answered NOT_FOUND) and
+// a 100-pair SCAN page.
 //
 //	go test -run '^$' -bench BenchmarkExecTCP -benchmem ./examples/kvserver
 func BenchmarkExecTCP(b *testing.B) {
@@ -229,6 +239,7 @@ func BenchmarkExecTCP(b *testing.B) {
 		{"GET-hit", lines("GET %d", func() int { return 2 * rng.IntN(resident) }), "VALUE k"},
 		{"GET-miss", lines("GET %d", func() int { return 2*rng.IntN(resident) + 1 }), "NOT_FOUND"},
 		{"SET-existing", lines("SET %d x", func() int { return 2 * rng.IntN(resident) }), "EXISTS"},
+		{"DEL-miss", lines("DEL %d", func() int { return 2*rng.IntN(resident) + 1 }), "NOT_FOUND"},
 		{"SCAN-100", lines("SCAN %d 200000 100", func() int { return 2 * rng.IntN(resident-100) }), "KEY "},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

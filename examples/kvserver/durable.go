@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -188,7 +187,7 @@ func newDurableStore(f *citrus.Forest[int64, string], cfg kvConfig) (*durableSto
 			h.Insert(key, value)
 			d.recovery.ReplaySets++
 		} else {
-			h.DeleteCtx(context.Background(), key) //nolint:errcheck // a miss is expected convergence
+			h.Delete(key) // a miss is expected convergence
 			d.recovery.ReplayDels++
 		}
 		d.recovery.RecordsReplayed++
@@ -345,13 +344,13 @@ func (h *durableHandle) Insert(key int64, value string) bool {
 	return true
 }
 
-func (h *durableHandle) DeleteCtx(ctx context.Context, key int64) (bool, error) {
+func (h *durableHandle) DeleteWithin(key int64, d time.Duration) (bool, error) {
 	st := &h.d.stripes[stripeOf(key)]
 	st.Lock()
 	// ok means the delete took effect (even when err reports the
 	// grace-period wait timed out) — exactly the condition under which
 	// the write must be logged.
-	ok, err := h.ForestHandle.DeleteCtx(ctx, key)
+	ok, err := h.ForestHandle.DeleteWithin(key, d)
 	var lsn wal.LSN
 	if ok {
 		lsn, _ = h.logged(encodeDel(key))

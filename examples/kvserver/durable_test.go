@@ -217,7 +217,7 @@ func TestDurableConcurrentWriters(t *testing.T) {
 			}
 			// Delete every third key; deletes are effective and logged.
 			for i := int64(0); i < perWorker; i += 3 {
-				h.DeleteCtx(t.Context(), base+i)
+				h.DeleteWithin(base+i, 0) //nolint:errcheck // no bound, no error
 			}
 		}(w)
 	}

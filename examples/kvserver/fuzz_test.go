@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -37,7 +36,7 @@ func newFuzzServer(f *testing.F) (*server, storeHandle) {
 // store whatever the previous input, failed or not, left behind.
 func emptyStore(s *server, h storeHandle) {
 	for _, k := range s.forest.Keys() {
-		h.DeleteCtx(context.Background(), k) //nolint:errcheck // no deadline, no error
+		h.DeleteWithin(k, 0) //nolint:errcheck // no bound, no error
 	}
 }
 

@@ -37,13 +37,14 @@
 // observability layer — and an HTTP face of the store — over HTTP
 // (-http, default 127.0.0.1:7171):
 //
-//	/kv/{key}      → GET / PUT / DELETE the key over HTTP, with
-//	                 per-request deadlines (-optimeout); writes are shed
-//	                 with 503 + Retry-After while the server is degraded.
-//	                 PUT answers 413 for a body over 1 MiB and 400 for a
-//	                 value holding "\n" or "\r", which the TCP face
-//	                 could not answer on one line, or for a value that
-//	                 is not valid UTF-8; none of these stores anything
+//	/kv/{key}      → GET / PUT / DELETE the key over HTTP; a DELETE
+//	                 that waits for a grace period bounds that wait with
+//	                 -optimeout; writes are shed with 503 + Retry-After
+//	                 while the server is degraded. PUT answers 413 for a
+//	                 body over 1 MiB and 400 for a value holding "\n" or
+//	                 "\r", which the TCP face could not answer on one
+//	                 line, or for a value that is not valid UTF-8; none
+//	                 of these stores anything
 //	/kv?from=&to=&limit=
 //	               → GET range scan over [from, to): a JSON document of
 //	                 pairs in ascending key order, at most limit
@@ -76,9 +77,13 @@
 // — wait-free by construction — keep working, SET/DEL are shed (TCP
 // "BUSY", HTTP 503 + Retry-After), /healthz flips to 503, and DELs that
 // do run bound their grace-period wait with -optimeout, finishing
-// cleanup in the background on expiry. With -serve, SIGTERM/SIGINT drains: the
-// listeners close, in-flight connections get -drain to finish, and the
-// write-ahead log, when there is one, is flushed and closed before exit.
+// cleanup in the background on expiry. Only a two-child delete waits for
+// a grace period (the paper's line 74), so only it arms a timer for the
+// bound; a miss or a one-child DEL never does. Checking whether to shed
+// reads one atomic gauge per shard. With -serve, SIGTERM/SIGINT drains:
+// the listeners close, in-flight connections get -drain to finish, and
+// the write-ahead log, when there is one, is flushed and closed before
+// exit.
 //
 // Run `go run ./examples/kvserver` to start the server, load it with a
 // built-in concurrent demo client, print stats, and exit. Use -serve to
@@ -120,7 +125,7 @@ import (
 type kvConfig struct {
 	shards       int           // forest shard count; 1 = single tree
 	flavor       string        // RCU flavor name: scalable (default), classic, or ebr
-	opTimeout    time.Duration // per-write grace-period deadline (0 = unbounded)
+	opTimeout    time.Duration // bound on a DEL's grace-period wait (0 = unbounded)
 	stallTimeout time.Duration // RCU stall-detector threshold (0 = off)
 	drainTimeout time.Duration // how long shutdown waits for open connections
 
@@ -246,21 +251,16 @@ func (s *server) degraded() (bool, []string) {
 }
 
 // activeStalls sums the grace-period waits stalled past the detector
-// threshold on every shard.
+// threshold on every shard: one atomic load per shard, because every
+// SET and DEL asks.
 func (s *server) activeStalls() int64 {
 	var n int64
 	for i := 0; i < s.forest.NumShards(); i++ {
-		n += flavorStats(s.forest.Flavor(i)).ActiveStalls
+		if sc, ok := s.forest.Flavor(i).(rcu.StallControl); ok {
+			n += sc.ActiveStalls()
+		}
 	}
 	return n
-}
-
-// writeCtx returns the context bounding one write's grace-period wait.
-func (s *server) writeCtx() (context.Context, context.CancelFunc) {
-	if s.cfg.opTimeout <= 0 {
-		return context.Background(), func() {}
-	}
-	return context.WithTimeout(context.Background(), s.cfg.opTimeout)
 }
 
 func main() {
@@ -273,7 +273,7 @@ func main() {
 	def := defaultKVConfig()
 	shards := flag.Int("shards", def.shards, "partition the key space across this many Citrus trees, each with its own RCU domain (citrus.Forest); 1 = single tree")
 	flavor := flag.String("flavor", def.flavor, "RCU reclamation flavor backing every tree: scalable (per-reader counter+flag), classic (single shared counter), or ebr (epoch-based)")
-	opTimeout := flag.Duration("optimeout", def.opTimeout, "per-write grace-period deadline; expired DELs finish cleanup in the background (0 = unbounded)")
+	opTimeout := flag.Duration("optimeout", def.opTimeout, "bound on the grace-period wait of a DEL that waits for one (a two-child delete); such a DEL past the bound answers OK and finishes cleanup in the background (0 = unbounded)")
 	stall := flag.Duration("stall", def.stallTimeout, "RCU stall-detector threshold; stalled grace periods are logged and flip /healthz to degraded (0 disables)")
 	drain := flag.Duration("drain", def.drainTimeout, "how long SIGTERM/SIGINT shutdown waits for open connections before exiting")
 	walDir := flag.String("wal-dir", def.walDir, "write-ahead log + snapshot directory: writes are logged and recovered on boot (empty = in-memory only)")
@@ -499,9 +499,9 @@ func (s *server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 
 // serveKV is the HTTP face of the store: GET/PUT/DELETE on /kv/{key}.
 // Reads always serve; writes are shed with 503 + Retry-After while the
-// server is degraded, and DELETE bounds its grace-period wait with the
-// per-request deadline (a DELETE that hits the deadline HAS deleted the
-// key — the remaining unlink work finishes in the background — so it
+// server is degraded, and a DELETE that waits for a grace period bounds
+// that wait with -optimeout (a DELETE that hits the bound HAS deleted
+// the key — the remaining unlink work finishes in the background — so it
 // still answers 200, with X-Citrus-GP-Timeout set).
 func (s *server) serveKV(w http.ResponseWriter, r *http.Request) {
 	key, err := strconv.ParseInt(strings.TrimPrefix(r.URL.Path, "/kv/"), 10, 64)
@@ -564,9 +564,7 @@ func (s *server) serveKV(w http.ResponseWriter, r *http.Request) {
 		if shed() {
 			return
 		}
-		ctx, cancel := s.writeCtx()
-		defer cancel()
-		ok, err := h.DeleteCtx(ctx, key)
+		ok, err := h.DeleteWithin(key, s.cfg.opTimeout)
 		switch {
 		case err != nil && ok:
 			// Deleted — the key is gone — but the grace-period wait hit
@@ -791,6 +789,12 @@ func (s *server) execVerb(dst []byte, h storeHandle, verb string, fields []strin
 		if shed() {
 			return append(dst, busy...), false
 		}
+		if len(fields) == 3 {
+			// A one-word value is a substring of the request line; the
+			// tree keeps it as long as the key lives, so store a copy
+			// rather than pin the whole line.
+			value = strings.Clone(value)
+		}
 		if h.Insert(key, value) {
 			return append(dst, "OK"...), false
 		}
@@ -812,9 +816,7 @@ func (s *server) execVerb(dst []byte, h storeHandle, verb string, fields []strin
 		if shed() {
 			return append(dst, busy...), false
 		}
-		ctx, cancel := s.writeCtx()
-		defer cancel()
-		ok, derr := h.DeleteCtx(ctx, key)
+		ok, derr := h.DeleteWithin(key, s.cfg.opTimeout)
 		switch {
 		case derr != nil && ok:
 			// The delete took effect; only the grace-period wait timed

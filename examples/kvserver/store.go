@@ -1,8 +1,8 @@
 package main
 
 import (
-	"context"
 	"fmt"
+	"time"
 
 	citrus "github.com/go-citrus/citrus"
 	"github.com/go-citrus/citrus/rcu"
@@ -77,7 +77,10 @@ func newForest(cfg kvConfig, onStall func(shard int, r rcu.StallReport)) (*citru
 type storeHandle interface {
 	Get(key int64) (string, bool)
 	Insert(key int64, value string) bool
-	DeleteCtx(ctx context.Context, key int64) (bool, error)
+	// DeleteWithin bounds only the grace-period wait of a two-child
+	// delete, by d from the call (d ≤ 0: no bound); a miss or a
+	// one-child delete arms no timer.
+	DeleteWithin(key int64, d time.Duration) (bool, error)
 	// RangeScanLimit is the bounded scan both faces serve: at most limit
 	// pairs, globally ascending and weakly consistent (every key present
 	// for the whole scan appears exactly once; keys updated concurrently

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
+	"time"
 
 	"github.com/go-citrus/citrus/citrustrace"
 	"github.com/go-citrus/citrus/internal/core"
@@ -419,6 +420,22 @@ func (h *ForestHandle[K, V]) Delete(key K) bool {
 // is the owning shard's only.
 func (h *ForestHandle[K, V]) DeleteCtx(ctx context.Context, key K) (bool, error) {
 	return h.hs[h.f.shardFor(key)].DeleteCtx(ctx, key)
+}
+
+// DeleteWithin removes key like DeleteCtx with a context whose deadline
+// is d after the call, without building that context: only a two-child
+// delete reaching its grace period (the paper's line 74) creates a
+// timer, for whatever is left of d, so a miss or a one-child delete
+// arms nothing. When d passes during the grace period it returns
+// (true, err) with err matching both rcu.ErrGracePeriodTimeout and
+// context.DeadlineExceeded: the key is gone, and the old successor's
+// unlink completes in the background (counted in Stats.DeleteTimeouts).
+// When d has passed before a search, it returns
+// (false, context.DeadlineExceeded) with the forest unchanged by this
+// call. A d ≤ 0 sets no bound, like Delete. The grace period waited on
+// is the owning shard's only.
+func (h *ForestHandle[K, V]) DeleteWithin(key K, d time.Duration) (bool, error) {
+	return h.hs[h.f.shardFor(key)].DeleteWithin(key, d)
 }
 
 // RangeScan calls fn for each pair with lo ≤ key < hi in ascending

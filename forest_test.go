@@ -241,6 +241,13 @@ func TestForestDeleteCtx(t *testing.T) {
 	if ok || err == nil {
 		t.Fatalf("DeleteCtx with done ctx on absent key = (%v, %v)", ok, err)
 	}
+	h.Insert(3, 3)
+	if ok, err := h.DeleteWithin(3, time.Second); !ok || err != nil {
+		t.Fatalf("DeleteWithin = (%v, %v)", ok, err)
+	}
+	if ok, err := h.DeleteWithin(3, 0); ok || err != nil {
+		t.Fatalf("unbounded DeleteWithin on absent key = (%v, %v)", ok, err)
+	}
 }
 
 // The point of per-shard domains: a reader parked inside one shard's

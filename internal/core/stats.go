@@ -88,7 +88,7 @@ type Stats struct {
 	DeleteMisses    int64 // Delete calls that found no key
 	DeleteRetries   int64 // delete validation failures (retried)
 	TwoChildDeletes int64 // deletes that relocated a successor (inline grace periods)
-	DeleteTimeouts  int64 // DeleteCtx calls whose grace-period wait hit the deadline
+	DeleteTimeouts  int64 // DeleteCtx/DeleteWithin calls whose grace-period wait hit the bound
 
 	Scans        int64 // RangeScan/Scan calls (batched variants count once)
 	ScanSections int64 // read-side critical sections entered by scans

@@ -223,7 +223,7 @@ func (h *Handle[K, V]) link(tc *opTrace, prev *node[K, V], tag uint64, dir int, 
 // Delete removes key from the dictionary (lines 42–84). It returns false
 // if the key is not present.
 func (h *Handle[K, V]) Delete(key K) bool {
-	ok, _ := h.DeleteCtx(context.Background(), key)
+	ok, _ := h.delete(key, waitBound{})
 	return ok
 }
 
@@ -245,14 +245,85 @@ func (h *Handle[K, V]) Delete(key K) bool {
 // optimistic loop, yields (false, ctx.Err()) with the tree unchanged by
 // this call. A ctx without deadline or cancellation degrades to Delete.
 func (h *Handle[K, V]) DeleteCtx(ctx context.Context, key K) (bool, error) {
-	cancellable := ctx != nil && ctx.Done() != nil
+	var b waitBound
+	if ctx != nil && ctx.Done() != nil {
+		b.ctx = ctx
+	}
+	return h.delete(key, b)
+}
+
+// DeleteWithin removes key from the dictionary like DeleteCtx with a
+// context whose deadline is d after the call, without building that
+// context: it reads the clock at the call and before each search, and
+// creates a timer only when a two-child delete reaches the grace period
+// of line 74, for whatever is left of d. A miss or a one-child delete
+// never waits for a grace period, so it arms nothing. Its results are
+// DeleteCtx's, with context.DeadlineExceeded as the context's error. A
+// d ≤ 0 sets no bound: DeleteWithin then waits like Delete.
+func (h *Handle[K, V]) DeleteWithin(key K, d time.Duration) (bool, error) {
+	var b waitBound
+	if d > 0 {
+		b.deadline = time.Now().Add(d)
+	}
+	return h.delete(key, b)
+}
+
+// A waitBound cuts short the one wait a delete makes that has no bound
+// of its own, the grace period of line 74: DeleteCtx bounds it by a
+// context, DeleteWithin by a deadline. The zero value bounds nothing.
+type waitBound struct {
+	ctx      context.Context // nil unless the context can be done
+	deadline time.Time       // zero unless bounded by a duration
+}
+
+// err reports the bound's error once it has passed. The delete loop
+// reads it before each search.
+func (b waitBound) err() error {
+	switch {
+	case b.ctx != nil:
+		return b.ctx.Err()
+	case !b.deadline.IsZero() && !time.Now().Before(b.deadline):
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// synchronize waits for a grace period on f within the bound (line 74)
+// and returns nil once it completes. When the bound passes first, it
+// returns the bound's error and a channel that is closed when the grace
+// period completes, for the caller to finish the delete on.
+func (b waitBound) synchronize(f rcu.Flavor) (<-chan struct{}, error) {
+	if b.ctx == nil && b.deadline.IsZero() {
+		f.Synchronize()
+		return nil, nil
+	}
+	done := rcu.BeginSynchronize(f)
+	if b.ctx != nil {
+		select {
+		case <-done:
+			return nil, nil
+		case <-b.ctx.Done():
+			return done, b.ctx.Err()
+		}
+	}
+	timer := time.NewTimer(time.Until(b.deadline))
+	defer timer.Stop()
+	select {
+	case <-done:
+		return nil, nil
+	case <-timer.C:
+		return done, context.DeadlineExceeded
+	}
+}
+
+// delete is the body of Delete, DeleteCtx and DeleteWithin (lines
+// 42–84); b bounds its grace-period wait.
+func (h *Handle[K, V]) delete(key K, b waitBound) (bool, error) {
 	tc := h.traceStart() // nil (one predictable branch) unless tracing
 	for {                // line 43
-		if cancellable {
-			if err := ctx.Err(); err != nil {
-				tc.end(citrustrace.EvDelete, 0)
-				return false, err
-			}
+		if err := b.err(); err != nil {
+			tc.end(citrustrace.EvDelete, 0)
+			return false, err
 		}
 		prev, _, curr, dir := h.get(key)
 		if curr == nil { // the key was not found (line 45)
@@ -331,33 +402,26 @@ func (h *Handle[K, V]) DeleteCtx(ctx context.Context, key K) (bool, error) {
 			if tc != nil {
 				w0 = time.Now()
 			}
-			if cancellable { // line 74: wait for readers, bounded by ctx
-				done := rcu.BeginSynchronize(h.t.flavor)
-				select {
-				case <-done:
-				case <-ctx.Done():
-					// The delete has linearized (the copy is published,
-					// curr unlinked); only the old successor's unlink and
-					// the lock releases remain, and they must not run
-					// before the grace period ends. Hand them to a
-					// background goroutine and release the caller with
-					// the typed timeout. All owner-written accounting and
-					// tracing happens here, on the owning goroutine.
-					h.ops.deletes.inc()
-					h.ops.twoChildDeletes.inc()
-					h.ops.deleteTimeouts.inc()
-					tc.syncWait(w0)
-					tc.retired(2)
-					tc.end(citrustrace.EvDelete, 2)
-					t := h.t
-					go func() {
-						<-done
-						t.completeTwoChildDelete(prev, curr, prevSucc, succ, n)
-					}()
-					return true, rcu.GracePeriodTimeout(ctx.Err())
-				}
-			} else {
-				h.t.flavor.Synchronize() // line 74: wait for readers
+			if done, err := b.synchronize(h.t.flavor); err != nil { // line 74
+				// The delete has linearized (the copy is published, curr
+				// unlinked); only the old successor's unlink and the lock
+				// releases remain, and they must not run before the grace
+				// period ends. Hand them to a background goroutine and
+				// release the caller with the typed timeout. All
+				// owner-written accounting and tracing happens here, on
+				// the owning goroutine.
+				h.ops.deletes.inc()
+				h.ops.twoChildDeletes.inc()
+				h.ops.deleteTimeouts.inc()
+				tc.syncWait(w0)
+				tc.retired(2)
+				tc.end(citrustrace.EvDelete, 2)
+				t := h.t
+				go func() {
+					<-done
+					t.completeTwoChildDelete(prev, curr, prevSucc, succ, n)
+				}()
+				return true, rcu.GracePeriodTimeout(err)
 			}
 			tc.syncWait(w0)
 			h.t.completeTwoChildDelete(prev, curr, prevSucc, succ, n) // lines 75–82

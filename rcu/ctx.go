@@ -14,11 +14,11 @@ import (
 // running in the background until it genuinely completes — nothing is
 // ever reclaimed early.
 
-// ErrGracePeriodTimeout reports that a context-bounded grace-period
-// wait (SynchronizeCtx, SynchronizeContext, core's DeleteCtx) was
-// abandoned because its context was cancelled or its deadline expired
-// before the grace period completed. Match it with errors.Is; the
-// returned error also matches the context's own error
+// ErrGracePeriodTimeout reports that a bounded grace-period wait
+// (SynchronizeCtx, SynchronizeContext, core's DeleteCtx and
+// DeleteWithin) was abandoned because its context was cancelled or its
+// deadline expired before the grace period completed. Match it with
+// errors.Is; the returned error also matches the context's own error
 // (context.DeadlineExceeded or context.Canceled).
 var ErrGracePeriodTimeout = errors.New("rcu: grace period did not complete before the context was done")
 
@@ -61,8 +61,8 @@ var (
 // goroutine and returns a channel that is closed when it completes. It
 // is the building block for callers that must keep working (or give up
 // and hand cleanup to someone else) while the grace period runs —
-// core's DeleteCtx finishes a two-child delete's unlink from exactly
-// this channel after its caller's deadline has expired.
+// core's DeleteCtx and DeleteWithin finish a two-child delete's unlink
+// from exactly this channel after their caller's bound has passed.
 //
 // The goroutine is not cancellable (a grace period either completes or
 // the blocking reader never leaves, in which case it parks in the

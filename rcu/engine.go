@@ -463,6 +463,12 @@ func (e *engine[H]) SetStallHandler(fn func(StallReport)) {
 // untouched. Handles registered while capture was off report "".
 func (e *engine[H]) SetSiteCapture(on bool) { e.stall.capture.Store(on) }
 
+// ActiveStalls reports how many Synchronize calls are stalled past the
+// stall threshold right now: Stats().ActiveStalls, read with one atomic
+// load and no snapshot, for callers that poll it on a request path (a
+// server shedding writes while a grace period is stalled).
+func (e *engine[H]) ActiveStalls() int64 { return e.stats.activeStalls.Load() }
+
 // Stats reports the domain's cumulative grace-period accounting. It may
 // be called at any time from any goroutine; all counters are monotonic
 // except the ActiveStalls gauge.

@@ -97,6 +97,10 @@ type StallControl interface {
 	// SetSiteCapture toggles registration-site capture; see
 	// Domain.SetSiteCapture.
 	SetSiteCapture(on bool)
+
+	// ActiveStalls reads the Stats.ActiveStalls gauge alone; see
+	// Domain.ActiveStalls.
+	ActiveStalls() int64
 }
 
 var (
