@@ -23,10 +23,14 @@ all: build vet test
 # the epoch-flavor pair: a 10-seed ebr race sweep plus the inverted
 # ebrearly negative control, and the crash-torture sweep: kill–recover–verify
 # against the WAL-backed kvserver with the inverted nofsync control
-# and the WAL recovery fuzzer).
+# and the WAL recovery fuzzer). The benchmark module under perfbench/
+# is a nested module outside ./..., so it is vetted on its own: vet
+# type-checks it and its tests against the library without leaving a
+# binary behind.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	$(GO) test -timeout 300s ./...
 	$(GO) test -race ./rcu/... ./internal/core/... ./citrustrace/... ./internal/schedpoint/... ./internal/torture/...
 	$(GO) test -race -run 'Trace|Tracing' .
@@ -107,10 +111,11 @@ torture-smoke:
 	$(GO) run ./cmd/citrustorture -seed 1 -duration 2s -json citrustorture-smoke.json
 
 # The robustness scenario (docs/RCU.md "Robustness"): a reader parked in
-# its critical section while churn floods a watermarked reclaimer. The
-# run fails unless the stall detector fired, the high watermark tripped,
-# and the tree stayed correct — positive controls for the whole
-# degradation machinery on a fixed seed.
+# its critical section while churn keeps needing grace periods. The run
+# fails unless the stall detector fired, the parked reader saw its
+# domain's oldest grace period at or past the stall threshold, and the
+# tree stayed correct — positive controls for the whole degradation
+# machinery on a fixed seed.
 torture-stall:
 	$(GO) run ./cmd/citrustorture -flavor stalledreader -seed 1 -duration 4s -json citrustorture-stall.json
 
@@ -124,12 +129,12 @@ torture-forest:
 
 # Scan torture (docs/VERIFICATION.md "Scans"). scanstorm is the
 # robustness scenario: half the workers run batched range scans against
-# churn on a watermarked reclaimer, and the run fails if scan-side
-# critical sections starved reclamation past its memory bound (any shed
-# callback) or if no scans completed. scanhog is the matching negative
-# control — an unbatched full-range scan dwelling in its critical
-# section against a tiny hard cap — judged by the SAME discipline rule,
-# so it MUST fail on its fixed seed; the leading `!` inverts it.
+# churn, and the run fails if scan-side critical sections held the
+# median grace period at or past the 5 ms stall threshold, or if no
+# scans completed. scanhog is the matching negative control — an
+# unbatched full-range scan dwelling in its critical section — judged by
+# the SAME grace-period rule, so it MUST fail on its fixed seed; the
+# leading `!` inverts it.
 torture-scan:
 	$(GO) run ./cmd/citrustorture -flavor scanstorm -seed 1 -duration 4s -json citrustorture-scan.json
 	$(GO) run ./cmd/citrustorture -impl forest -flavor scanstorm -seed 1 -duration 4s -json citrustorture-scan-forest.json

@@ -31,21 +31,22 @@
 // harness exercises the flavor seam, not just the default flavor.
 //
 // `-flavor stalledreader` is a robustness scenario: a dedicated reader
-// parks inside its critical section while churn floods the reclaimer,
-// and the run additionally asserts — as a positive control — that the
-// stall detector fired and the reclaimer's high watermark tripped,
-// without the tree corrupting (see docs/RCU.md "Robustness").
+// parks inside its critical section while churn keeps needing grace
+// periods, and the run additionally asserts — as positive controls —
+// that the stall detector fired and that the parked reader saw its
+// domain's oldest grace period (rcu.Stats.OldestSyncAgeNanos) at or
+// past the stall threshold, without the tree corrupting (see
+// docs/RCU.md "Robustness").
 //
 // `-flavor scanstorm` is the scan-discipline scenario: half the churn
 // workers run batched range scans (the read-side critical section is
-// dropped every few emissions) against a bounded reclaimer, every scan
-// checked in flight for the weak-consistency contract, and the run
-// fails if the reclaimer's hard cap ever sheds a callback. Its negative
+// dropped every few emissions), every scan checked in flight for the
+// weak-consistency contract, and the run fails if its median grace
+// period (rcu.Stats.SyncWait) reaches the stall threshold. Its negative
 // control is `-flavor scanhog` (citrus only): unbatched full-range
-// scans with a slow consumer hog the read side against a deliberately
-// tiny hard cap, and the run MUST fail with shed callbacks and stall
-// reports — proving the harness can see a scan workload starving
-// reclamation.
+// scans with a slow consumer hog the read side, and the run MUST fail
+// by the same rule — proving the harness can see a scan workload
+// starving updaters of grace periods.
 //
 // `-crash` switches the harness from in-process torture to CRASH
 // torture (see internal/crashtorture and docs/DURABILITY.md): the

@@ -93,8 +93,8 @@ func (t *Tree[K, V]) retire(n *node[K, V]) {
 		stamp = tor.oracle.RetireStamp()
 	}
 	// A false return means the reclaimer is closed (a delete racing
-	// shutdown) or its hard cap shed the callback: the node stays with
-	// the GC, unchecked and unpoisoned, which is still safe.
+	// shutdown): the node stays with the GC, unchecked and unpoisoned,
+	// which is still safe.
 	tor.rec.TryDefer(func() {
 		schedpoint.Hit(schedpoint.CoreBeforeReclaim)
 		if tor.oracle != nil {

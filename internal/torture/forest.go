@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"github.com/go-citrus/citrus/internal/core"
 	"github.com/go-citrus/citrus/internal/dict"
@@ -23,11 +22,11 @@ import (
 //
 // Under -flavor stalledreader only shard 0 gets the parked reader and
 // the stall plumbing: the scenario's claim is isolation, and the
-// positive control demands both that shard 0 reports stalls AND that
-// the sibling shards' grace periods kept completing while it was
-// parked (Verdict.SiblingSyncs > 0). The negative controls (nosync,
-// snapearly, ebrearly) apply to every shard — routing must not launder
-// a broken grace period into a pass.
+// positive control demands both that shard 0 reports stalls and ages
+// its grace periods AND that the sibling shards' grace periods kept
+// completing while it was parked (Verdict.SiblingSyncs > 0). The
+// negative controls (nosync, snapearly, ebrearly) apply to every shard
+// — routing must not launder a broken grace period into a pass.
 type forestSubject struct {
 	router  partition.Router[int]
 	trees   []*core.Tree[int, int]
@@ -68,8 +67,8 @@ func buildForestSubject(cfg Config) (*subject, error) {
 			}
 			return d, nil
 		case "scanstorm":
-			// Scan-heavy scenario: every shard's reclaimer runs bounded
-			// (watermarks below) and the run fails if any shard sheds.
+			// Scan-heavy scenario: the run fails if the median grace
+			// period, over every shard, reaches the stall threshold.
 			return rcu.NewDomain(), nil
 		case "scanhog":
 			return nil, fmt.Errorf("scanhog applies only to the citrus subject: the forest's scans collect per shard and emit outside the critical sections, so a slow consumer cannot hog the read side")
@@ -85,7 +84,7 @@ func buildForestSubject(cfg Config) (*subject, error) {
 		recs:    make([]*rcu.Reclaimer, shards),
 	}
 	inners := make([]rcu.Flavor, shards)
-	var stallReports atomic.Int64
+	var stallReports, parkedAge atomic.Int64
 	for i := 0; i < shards; i++ {
 		inner, err := newInner(i)
 		if err != nil {
@@ -93,21 +92,7 @@ func buildForestSubject(cfg Config) (*subject, error) {
 		}
 		inners[i] = inner
 		o := NewOracle(inner)
-		var recOpts []rcu.ReclaimerOption
-		if stalldom != nil && i == 0 {
-			stalldom.SetStallHandler(func(rcu.StallReport) { stallReports.Add(1) })
-			recOpts = append(recOpts,
-				rcu.WithHighWatermark(stallHigh),
-				rcu.WithHardCap(stallCap),
-				rcu.WithDrainBatch(stallBatch))
-		}
-		if cfg.Flavor == "scanstorm" {
-			recOpts = append(recOpts,
-				rcu.WithHighWatermark(stallHigh),
-				rcu.WithHardCap(stallCap),
-				rcu.WithDrainBatch(stallBatch))
-		}
-		rec := rcu.NewReclaimer(o, recOpts...)
+		rec := rcu.NewReclaimer(o)
 		tr := core.NewTree[int, int](o)
 		tr.EnableTorture(rec, o, true)
 		fs.trees[i], fs.oracles[i], fs.recs[i] = tr, o, rec
@@ -129,31 +114,9 @@ func buildForestSubject(cfg Config) (*subject, error) {
 
 	stopParker := func() {}
 	if stalldom != nil {
-		// Park inside shard 0's read side, registered through shard 0's
-		// oracle so the parked sections join its epoch accounting.
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		pr := fs.oracles[0].Register()
-		go func() {
-			defer close(done)
-			defer pr.Unregister()
-			for {
-				pr.ReadLock()
-				select {
-				case <-stop:
-					pr.ReadUnlock()
-					return
-				case <-time.After(stallPark):
-				}
-				pr.ReadUnlock()
-				select {
-				case <-stop:
-					return
-				case <-time.After(stallGap):
-				}
-			}
-		}()
-		stopParker = func() { close(stop); <-done }
+		// Park inside shard 0's read side, through shard 0's oracle.
+		stalldom.SetStallHandler(func(rcu.StallReport) { stallReports.Add(1) })
+		stopParker = startParker(fs.oracles[0], stalldom, &parkedAge)
 	}
 
 	return &subject{
@@ -201,14 +164,12 @@ func buildForestSubject(cfg Config) (*subject, error) {
 				v.ReclaimChecks += fs.oracles[i].Checks()
 				v.ReclaimViolations += fs.oracles[i].Violations()
 				v.PoisonTrips += fs.trees[i].PoisonTrips()
-				rs := fs.recs[i].Stats()
-				v.ReclaimDropped += rs.Dropped
-				v.ReclaimExpedited += rs.ExpeditedDrains
-				if rs.QueueHighWater > v.ReclaimQueueHighWater {
-					v.ReclaimQueueHighWater = rs.QueueHighWater
+				if src, ok := inners[i].(rcu.StatsSource); ok {
+					v.SyncWait.Merge(src.Stats().SyncWait)
 				}
 			}
 			v.StallReports += stallReports.Load()
+			v.ParkedSyncAgeNanos = max(v.ParkedSyncAgeNanos, parkedAge.Load())
 			v.SiblingSyncs += sibSyncs() - sibBase
 		},
 		violation: func() (int64, error) {

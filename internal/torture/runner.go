@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/go-citrus/citrus/citrusstat"
 	"github.com/go-citrus/citrus/internal/core"
 	"github.com/go-citrus/citrus/internal/dict"
 	"github.com/go-citrus/citrus/internal/impls"
@@ -66,17 +67,18 @@ type Verdict struct {
 	ScanOps   int64 `json:"scan_ops,omitempty"`
 	ScanPairs int64 `json:"scan_pairs,omitempty"`
 
-	// Robustness accounting, populated by the stalledreader flavor (and
-	// by any flavor whose reclaimer sheds): stall reports fired by the
-	// domain, callbacks dropped at the reclaimer's hard cap, expedited
-	// drains armed by the high watermark, and the deepest the callback
-	// queue ever got. For stalledreader these double as the positive
-	// control: a run that trips neither the stall detector nor the
-	// watermark fails.
-	StallReports          int64 `json:"stall_reports,omitempty"`
-	ReclaimDropped        int64 `json:"reclaim_dropped,omitempty"`
-	ReclaimExpedited      int64 `json:"reclaim_expedited,omitempty"`
-	ReclaimQueueHighWater int64 `json:"reclaim_queue_high_water,omitempty"`
+	// Grace-period age, what a dwelling reader costs when the GC
+	// reclaims. SyncWait is the run's grace-period wait histogram: every
+	// subject flavor's Stats().SyncWait, merged across rounds and shards;
+	// the scan scenarios are judged by its median. StallReports counts
+	// the stall reports the domain fired (stalledreader, scanhog).
+	// ParkedSyncAgeNanos (stalledreader) is the oldest in-flight grace
+	// period the parked reader saw on its domain just before leaving a
+	// park, the maximum over parks. The stalledreader positive control
+	// needs stall reports and that age at or past the stall threshold.
+	SyncWait           citrusstat.Snapshot `json:"sync_wait"`
+	StallReports       int64               `json:"stall_reports,omitempty"`
+	ParkedSyncAgeNanos int64               `json:"parked_sync_age_ns,omitempty"`
 
 	// SiblingSyncs (forest + stalledreader): grace periods completed by
 	// the NON-stalled shards' domains while shard 0's reader was being
@@ -99,7 +101,7 @@ type subject struct {
 	keys      func() []int
 	check     func() error
 	barrier   func()                // flush retirements; nil when not applicable
-	fold      func(v *Verdict)      // accumulate oracle/reclaimer stats; nil ok
+	fold      func(v *Verdict)      // accumulate oracle and grace-period stats; nil ok
 	violation func() (int64, error) // oracle verdict; nil when no oracle
 	close     func()
 }
@@ -137,43 +139,35 @@ func buildSubject(cfg Config) (*subject, error) {
 
 // Stalled-reader scenario knobs: the parker holds a read-side critical
 // section for stallPark with stallGap between parks; the domain's stall
-// threshold and the reclaimer watermarks are set low enough that every
-// park of a busy round trips both.
+// threshold is low enough that every park of a busy round trips it.
+// stallThreshold is also the scan scenarios' bound on the median grace
+// period.
 const (
 	stallThreshold = 5 * time.Millisecond
 	stallPark      = 40 * time.Millisecond
 	stallGap       = 10 * time.Millisecond
-	stallHigh      = 16   // reclaimer high watermark
-	stallCap       = 1024 // reclaimer hard cap
-	stallBatch     = 64   // reclaimer drain batch
 )
 
 // Scan scenario knobs. scanstorm is the disciplined configuration: half
 // the churn workers become scanners whose traversals are BATCHED —
 // every scanBatch emissions the read-side critical section is dropped
-// and the scan re-descends by key — so grace periods keep completing
-// under the same bounded reclaimer the stalledreader scenario uses, and
-// the run fails if the hard cap ever sheds a callback. scanhog is its
-// negative control: the same scan-heavy duty cycle but each scan is one
-// UNBATCHED full-range traversal with a slow consumer (hogDwell per
-// emission) holding the critical section throughout, against a
-// deliberately tiny hard cap — the PR5 backpressure/stall machinery
-// must visibly trip (stall reports, shed callbacks), which the verdict
-// reports as a failure. A harness that passes scanhog could not have
-// detected a scan workload starving reclamation.
+// and the scan re-descends by key — so grace periods keep completing,
+// and the run fails if its median grace period reaches stallThreshold.
+// scanhog is its negative control: the same scan-heavy duty cycle but
+// each scan is one UNBATCHED full-range traversal with a slow consumer
+// (hogDwell per emission) holding the critical section throughout, so
+// the median grace period waits out a scan and the same rule fails the
+// run. A harness that passes scanhog could not have detected a scan
+// workload starving updaters of grace periods.
 const (
 	scanBatch = 8                      // scanstorm: emissions per read-side critical section
 	hogDwell  = 500 * time.Microsecond // scanhog: consumer dwell per emission, inside the CS
-	hogHigh   = 8                      // scanhog reclaimer high watermark
-	hogCap    = 32                     // scanhog reclaimer hard cap (tiny by design)
-	hogBatch  = 8                      // scanhog reclaimer drain batch
 )
 
 func buildCitrusSubject(cfg Config) (*subject, error) {
 	var inner rcu.Flavor
 	var stalldom *rcu.Domain
-	var recOpts []rcu.ReclaimerOption
-	var stallReports atomic.Int64
+	var stallReports, parkedAge atomic.Int64
 	switch cfg.Flavor {
 	case "", "scalable":
 		inner = rcu.NewDomain()
@@ -206,77 +200,38 @@ func buildCitrusSubject(cfg Config) (*subject, error) {
 	case "stalledreader":
 		// Robustness scenario: a dedicated reader goroutine parks inside
 		// its critical section, stalling every grace period it predates.
-		// The stall detector and the reclaimer watermarks must both trip
-		// (checked as a positive control in Run), and the tree must come
-		// through the abuse uncorrupted.
+		// The stall detector must trip and the parked reader must see
+		// grace periods age past the stall threshold (positive controls
+		// in Run), and the tree must come through the abuse uncorrupted.
 		stalldom = rcu.NewDomain()
 		stalldom.SetSiteCapture(true)
 		stalldom.SetStallTimeout(stallThreshold)
 		inner = stalldom
 	case "scanstorm":
-		// Scan-heavy robustness scenario: batched scans against the same
-		// bounded reclaimer stalledreader uses. Run fails the verdict if
-		// the hard cap ever sheds — batching must keep reclamation fed.
+		// Scan-heavy robustness scenario: batched scans against churn.
+		// Run fails the verdict if the median grace period reaches the
+		// stall threshold — batching must keep grace periods short.
 		inner = rcu.NewDomain()
-		recOpts = append(recOpts,
-			rcu.WithHighWatermark(stallHigh),
-			rcu.WithHardCap(stallCap),
-			rcu.WithDrainBatch(stallBatch))
 	case "scanhog":
 		// Negative control for scan discipline: unbatched full-range
 		// scans with a slow consumer hold the read side while churn
-		// floods a reclaimer with a deliberately tiny hard cap. The shed
-		// callbacks (and stall reports) MUST surface as a failure.
+		// needs grace periods. The long median grace period (and the
+		// stall reports) MUST surface as a failure.
 		sd := rcu.NewDomain()
 		sd.SetStallTimeout(stallThreshold)
 		sd.SetStallHandler(func(rcu.StallReport) { stallReports.Add(1) })
 		inner = sd
-		recOpts = append(recOpts,
-			rcu.WithHighWatermark(hogHigh),
-			rcu.WithHardCap(hogCap),
-			rcu.WithDrainBatch(hogBatch))
 	default:
 		return nil, fmt.Errorf("unknown flavor %q (scalable, classic, ebr, nosync, snapearly, ebrearly, stalledreader, scanstorm, scanhog)", cfg.Flavor)
 	}
 	o := NewOracle(inner)
-	if stalldom != nil {
-		stalldom.SetStallHandler(func(rcu.StallReport) { stallReports.Add(1) })
-		recOpts = append(recOpts,
-			rcu.WithHighWatermark(stallHigh),
-			rcu.WithHardCap(stallCap),
-			rcu.WithDrainBatch(stallBatch))
-	}
-	rec := rcu.NewReclaimer(o, recOpts...)
+	rec := rcu.NewReclaimer(o)
 	tr := core.NewTree[int, int](o)
 	tr.EnableTorture(rec, o, true)
 	stopParker := func() {}
 	if stalldom != nil {
-		// The parker registers through the oracle like every other
-		// reader, so its critical sections participate in the epoch
-		// accounting and its handle id is what stall reports name.
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		pr := o.Register()
-		go func() {
-			defer close(done)
-			defer pr.Unregister()
-			for {
-				pr.ReadLock()
-				select {
-				case <-stop:
-					pr.ReadUnlock()
-					return
-				case <-time.After(stallPark):
-				}
-				pr.ReadUnlock()
-				select {
-				case <-stop:
-					return
-				case <-time.After(stallGap):
-				}
-			}
-		}()
-		stopParker = func() { close(stop); <-done }
+		stalldom.SetStallHandler(func(rcu.StallReport) { stallReports.Add(1) })
+		stopParker = startParker(o, stalldom, &parkedAge)
 	}
 	return &subject{
 		newHandle: func() dict.Handle[int, int] { return coreTortureHandle{tr.NewHandle()} },
@@ -288,11 +243,9 @@ func buildCitrusSubject(cfg Config) (*subject, error) {
 			v.ReclaimViolations += o.Violations()
 			v.PoisonTrips += tr.PoisonTrips()
 			v.StallReports += stallReports.Load()
-			rs := rec.Stats()
-			v.ReclaimDropped += rs.Dropped
-			v.ReclaimExpedited += rs.ExpeditedDrains
-			if rs.QueueHighWater > v.ReclaimQueueHighWater {
-				v.ReclaimQueueHighWater = rs.QueueHighWater
+			v.ParkedSyncAgeNanos = max(v.ParkedSyncAgeNanos, parkedAge.Load())
+			if src, ok := inner.(rcu.StatsSource); ok {
+				v.SyncWait.Merge(src.Stats().SyncWait)
 			}
 		},
 		violation: func() (int64, error) {
@@ -312,6 +265,42 @@ func buildCitrusSubject(cfg Config) (*subject, error) {
 			rec.Close()
 		},
 	}, nil
+}
+
+// startParker parks a reader, registered through o, inside its
+// read-side critical section for stallPark at a time with stallGap
+// between parks, until the returned stop is called. Registering through
+// the oracle puts its critical sections in the epoch accounting and
+// makes its handle id the one stall reports name. Just before each
+// ReadUnlock it reads dom's oldest in-flight grace period and keeps the
+// largest in age: the evidence that the park held grace periods up.
+func startParker(o *Oracle, dom *rcu.Domain, age *atomic.Int64) (stop func()) {
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	pr := o.Register()
+	go func() {
+		defer close(done)
+		defer pr.Unregister()
+		for {
+			pr.ReadLock()
+			select {
+			case <-quit:
+				pr.ReadUnlock()
+				return
+			case <-time.After(stallPark):
+			}
+			if a := dom.Stats().OldestSyncAgeNanos; a > age.Load() {
+				age.Store(a)
+			}
+			pr.ReadUnlock()
+			select {
+			case <-quit:
+				return
+			case <-time.After(stallGap):
+			}
+		}
+	}()
+	return func() { close(quit); <-done }
 }
 
 // coreTortureHandle lifts a core handle to dict.Handle with the weakly
@@ -411,31 +400,34 @@ func Run(cfg Config) (*Verdict, error) {
 	if cfg.Flavor == "stalledreader" && len(v.Failures) == 0 {
 		// Positive control: the whole point of the scenario is to trip
 		// the robustness machinery. A run that survives without a single
-		// stall report or watermark crossing means the detector or the
-		// reclaimer bounds are broken (or the parker never parked), so
-		// the run must fail rather than quietly prove nothing.
+		// stall report, or whose parked reader never saw a grace period
+		// as old as the stall threshold, means the detector or the age
+		// gauge is broken (or the parker never parked), so the run must
+		// fail rather than quietly prove nothing.
 		if v.StallReports == 0 {
 			v.fail("positive control: the parked reader never tripped the stall detector (0 stall reports)")
 		}
-		if v.ReclaimExpedited == 0 {
-			v.fail("positive control: the delete churn never crossed the reclaimer high watermark (0 expedited drains)")
+		if age := time.Duration(v.ParkedSyncAgeNanos); age < stallThreshold {
+			v.fail("positive control: the parked reader saw its domain's oldest grace period at %v, below the %v stall threshold", age, stallThreshold)
 		}
 		if strings.EqualFold(v.Impl, "forest") && v.SiblingSyncs == 0 {
 			v.fail("positive control: no sibling-shard grace periods completed while shard 0's reader was parked — the stall leaked across shards")
 		}
 	}
 	if (cfg.Flavor == "scanstorm" || cfg.Flavor == "scanhog") && len(v.Failures) == 0 {
-		// Both scan scenarios are judged by the same reclamation
-		// discipline: scans must not starve the reclaimer past its bound.
-		// scanstorm's batching satisfies it; scanhog's unbatched hogging
-		// violates it by design, so this is where the negative control's
-		// required failure comes from.
+		// Both scan scenarios are judged by the same rule: scans must not
+		// hold the typical grace period past the stall threshold. The
+		// median, not the slowest, is judged because the tail moves with
+		// host load and the median does not. scanstorm's batching
+		// satisfies it; scanhog's unbatched hogging violates it by
+		// design, so this is where the negative control's required
+		// failure comes from.
 		if v.ScanOps == 0 {
 			v.fail("positive control: the %s scenario completed no scans", cfg.Flavor)
 		}
-		if v.ReclaimDropped != 0 {
-			v.fail("scan reclamation discipline: the reclaimer shed %d callback(s) at its hard cap — scan-side critical sections starved grace periods past the memory bound (%d stall report(s), queue high-water %d)",
-				v.ReclaimDropped, v.StallReports, v.ReclaimQueueHighWater)
+		if med := v.SyncWait.Percentile(50); med >= stallThreshold {
+			v.fail("scan grace-period rule: the median grace period took %v, at or past the %v stall threshold — scan-side critical sections held updaters' grace periods (%d grace period(s), %d stall report(s))",
+				med, stallThreshold, v.SyncWait.Total(), v.StallReports)
 		}
 	}
 	v.PointHits = pol.Hits()

@@ -148,10 +148,11 @@ func TestSeedReproducesFailure(t *testing.T) {
 }
 
 // TestStalledReaderScenario: the robustness flavor must PASS — the tree
-// survives a reader parked in its critical section while deletes flood
-// the reclaimer — while its positive controls prove the machinery
-// actually engaged: stall reports fired, the high watermark armed an
-// expedited drain, and the bounded queue never exceeded the hard cap.
+// survives a reader parked in its critical section while deletes keep
+// needing grace periods — while its positive controls prove the
+// machinery actually engaged: stall reports fired, and the parked
+// reader saw its domain's oldest grace period age past the stall
+// threshold.
 func TestStalledReaderScenario(t *testing.T) {
 	dur := 2 * time.Second
 	if testing.Short() {
@@ -175,14 +176,12 @@ func TestStalledReaderScenario(t *testing.T) {
 	if v.StallReports == 0 {
 		t.Fatal("no stall reports despite the parked reader")
 	}
-	if v.ReclaimExpedited == 0 {
-		t.Fatal("the reclaimer high watermark never tripped")
+	age := time.Duration(v.ParkedSyncAgeNanos)
+	if age < stallThreshold {
+		t.Fatalf("the parked reader saw its oldest grace period at %v, below the %v stall threshold", age, stallThreshold)
 	}
-	if v.ReclaimQueueHighWater > stallCap {
-		t.Fatalf("reclaimer queue reached %d, above the hard cap %d", v.ReclaimQueueHighWater, stallCap)
-	}
-	t.Logf("stalledreader: %d stall reports, %d expedited drains, %d dropped, queue high-water %d",
-		v.StallReports, v.ReclaimExpedited, v.ReclaimDropped, v.ReclaimQueueHighWater)
+	t.Logf("stalledreader: %d stall reports, parked reader's age sample %v, median grace period %v",
+		v.StallReports, age, v.SyncWait.Percentile(50))
 }
 
 // TestRegistryImplSmoke: the runner handles non-Citrus registry

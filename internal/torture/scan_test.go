@@ -8,10 +8,10 @@ import (
 
 // TestScanStormManySeeds: the acceptance gate for the scan scenario —
 // ten distinct injection schedules of scan-heavy churn (half the
-// workers running batched scans against the bounded reclaimer) must all
-// pass, including the in-flight weak-consistency checks on every scan
-// and the reclamation-discipline check that the hard cap never shed.
-// CI runs this under -race as well as without.
+// workers running batched scans) must all pass, including the in-flight
+// weak-consistency checks on every scan and the grace-period rule: the
+// median grace period stays below the stall threshold. CI runs this
+// under -race as well as without.
 func TestScanStormManySeeds(t *testing.T) {
 	dur := 300 * time.Millisecond
 	if testing.Short() {
@@ -34,14 +34,16 @@ func TestScanStormManySeeds(t *testing.T) {
 		if v.ScanOps == 0 || v.ScanPairs == 0 {
 			t.Fatalf("seed %d: no scan work recorded (ops %d, pairs %d)", seed, v.ScanOps, v.ScanPairs)
 		}
-		if v.ReclaimDropped != 0 {
-			t.Fatalf("seed %d: batched scans still shed %d callback(s)", seed, v.ReclaimDropped)
+		med := v.SyncWait.Percentile(50)
+		if med >= stallThreshold {
+			t.Fatalf("seed %d: batched scans held the median grace period at %v, at or past %v", seed, med, stallThreshold)
 		}
+		t.Logf("seed %d: median grace period %v over %d", seed, med, v.SyncWait.Total())
 	}
 }
 
 // TestScanStormForest: the sharded configuration under the same
-// scenario — per-shard bounded reclaimers, scans merging across shards.
+// scenario — per-shard domains, scans merging across shards.
 func TestScanStormForest(t *testing.T) {
 	v, err := Run(Config{
 		Seed:     3,
@@ -64,11 +66,10 @@ func TestScanStormForest(t *testing.T) {
 
 // TestNegativeControlScanHog: the scan-discipline negative control.
 // Unbatched full-range scans with a slow consumer hold the read-side
-// critical section for tens of milliseconds while churn floods a
-// reclaimer capped at hogCap callbacks: the PR5 backpressure machinery
-// MUST visibly trip (shed callbacks at the hard cap, stall reports from
-// the armed detector) and the harness MUST turn that into a failing
-// verdict. Fixed seed: a regression here is a deterministic repro.
+// critical section for tens of milliseconds while churn needs grace
+// periods: the typical grace period MUST wait out a scan, and the
+// harness MUST turn that into a failing verdict by the grace-period
+// rule. Fixed seed: a regression here is a deterministic repro.
 func TestNegativeControlScanHog(t *testing.T) {
 	v, err := Run(Config{
 		Seed:     11,
@@ -83,20 +84,21 @@ func TestNegativeControlScanHog(t *testing.T) {
 	if v.Passed {
 		t.Fatalf("torture passed the scanhog negative control: verdict %+v", v)
 	}
-	if v.ReclaimDropped == 0 {
-		t.Fatalf("scanhog failed for the wrong reason — the hard cap never shed: %v", v.Failures)
+	med := v.SyncWait.Percentile(50)
+	if med < stallThreshold {
+		t.Fatalf("scanhog failed for the wrong reason — the median grace period %v is below %v: %v", med, stallThreshold, v.Failures)
 	}
 	found := false
 	for _, f := range v.Failures {
-		if strings.Contains(f, "hard cap") {
+		if strings.Contains(f, "scan grace-period rule") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no failure names the hard cap: %v", v.Failures)
+		t.Fatalf("no failure names the grace-period rule: %v", v.Failures)
 	}
-	t.Logf("scanhog tripped: %d dropped, %d stall reports, queue high-water %d, %d scans",
-		v.ReclaimDropped, v.StallReports, v.ReclaimQueueHighWater, v.ScanOps)
+	t.Logf("scanhog tripped: median grace period %v over %d, %d stall reports, %d scans",
+		med, v.SyncWait.Total(), v.StallReports, v.ScanOps)
 }
 
 // TestScanReadersInDefaultRounds: scan readers are not scenario-only —

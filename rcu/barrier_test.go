@@ -4,16 +4,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestBarrierObservesPriorCallbacks is the rcu_barrier contract under
 // concurrency, for every flavor: a Barrier must not return until every
 // callback deferred BEFORE it was issued has run. Many goroutines
 // interleave Defer bursts with Barriers, each checking its own burst;
-// under -race this also audits the enqueue/drain handoff. (The
-// snapshotter leans on exactly this: Barrier() between finishing its
-// fuzzy scan and deleting WAL history — see docs/DURABILITY.md.)
+// under -race this also audits the enqueue/drain handoff. (The torture
+// harness leans on exactly this: Barrier() flushes a round's
+// retirements before its quiescent oracle checks.)
 func TestBarrierObservesPriorCallbacks(t *testing.T) {
 	for name, f := range flavors() {
 		t.Run(name, func(t *testing.T) {
@@ -41,49 +40,6 @@ func TestBarrierObservesPriorCallbacks(t *testing.T) {
 			wg.Wait()
 		})
 	}
-}
-
-// TestBarrierUnderSaturatedHardCap: Barrier's callback bypasses the
-// hard cap, so a queue pinned at its cap by backpressured writers must
-// not deadlock a concurrent Barrier. Slow callbacks keep the queue at
-// the cap while Barriers cut through.
-func TestBarrierUnderSaturatedHardCap(t *testing.T) {
-	r := NewReclaimer(NewDomain(), WithHighWatermark(4), WithHardCap(8))
-	defer r.Close()
-
-	stopc := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stopc:
-					return
-				default:
-				}
-				// Each callback dawdles so the queue rides the cap and
-				// Defer callers sit in waitBelowCap.
-				r.Defer(func() { time.Sleep(100 * time.Microsecond) })
-			}
-		}()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 10; i++ {
-			r.Barrier()
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Barrier deadlocked against a hard-capped queue")
-	}
-	close(stopc)
-	wg.Wait()
 }
 
 // TestBarrierPanicsOnClosedReclaimer pins the documented failure mode

@@ -60,7 +60,7 @@ func (d *ClassicDomain) register() *ClassicHandle {
 	if d.gp.Load() == 0 {
 		d.gp.CompareAndSwap(0, 1) // zero-value domain: establish epoch 1
 	}
-	h := &ClassicHandle{readerBase: d.enroll(false), d: d}
+	h := &ClassicHandle{readerBase: d.enroll(), d: d}
 	d.add(h)
 	return h
 }

@@ -12,9 +12,9 @@ import (
 // TestExportedIdentifiersDocumented enforces the package's doc-comment
 // discipline mechanically: every exported type, function, method,
 // constant and variable in package rcu must carry a doc comment. The
-// robustness knobs (SetStallTimeout, WithHardCap, …) are configuration
-// surface operators read under pressure — an undocumented one is a bug
-// this test catches at review time.
+// robustness knobs (SetStallTimeout, SetStallHandler, …) are
+// configuration surface operators read under pressure — an undocumented
+// one is a bug this test catches at review time.
 func TestExportedIdentifiersDocumented(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {

@@ -38,10 +38,6 @@ type Domain struct {
 	// targets are computed one stride early, deliberately breaking the
 	// combining protocol's covering obligation.
 	snapEarly atomic.Bool
-
-	// leak is the leaked-handle detection configuration (see leak.go);
-	// off by default and free for the hot paths while off.
-	leak leakControl
 }
 
 // NewDomain returns a new, empty Domain.
@@ -66,20 +62,12 @@ type Handle struct {
 // active reports whether the handle is inside a read-side critical section.
 func (h *Handle) active() bool { return h.state.Load()&1 != 0 }
 
-// Register adds a reader to the domain and returns its handle. With
-// SetLeakDetection enabled the returned Reader additionally carries a
-// finalizer-armed leak guard (see leak.go).
-func (d *Domain) Register() Reader {
-	h := d.register()
-	if d.leak.enabled.Load() {
-		return d.guardLeak(h)
-	}
-	return h
-}
+// Register adds a reader to the domain and returns its handle.
+func (d *Domain) Register() Reader { return d.register() }
 
 // register is the concrete-typed Register used inside the package.
 func (d *Domain) register() *Handle {
-	h := &Handle{readerBase: d.enroll(d.leak.enabled.Load()), d: d}
+	h := &Handle{readerBase: d.enroll(), d: d}
 	d.add(h)
 	return h
 }

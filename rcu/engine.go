@@ -81,8 +81,7 @@ type readerBase struct {
 func (r *readerBase) ID() uint64 { return r.id }
 
 // Site reports the handle's registration call site, "" unless the
-// domain's SetSiteCapture (or Domain.SetLeakDetection) was enabled when
-// the handle was registered.
+// domain's SetSiteCapture was enabled when the handle was registered.
 func (r *readerBase) Site() string { return r.site }
 
 // A registrant is a flavor's reader handle as the engine sees it.
@@ -128,10 +127,10 @@ type engine[H registrant] struct {
 }
 
 // enroll draws a new reader identity: a domain-unique id and, while site
-// capture is on or force is set, the registration call site.
-func (e *engine[H]) enroll(force bool) readerBase {
+// capture is on, the registration call site.
+func (e *engine[H]) enroll() readerBase {
 	b := readerBase{id: e.nextID.Add(1)}
-	if force || e.stall.capture.Load() {
+	if e.stall.capture.Load() {
 		b.site = registrationSite()
 	}
 	return b

@@ -93,7 +93,7 @@ func (d *EpochDomain) register() *EpochHandle {
 	if d.epoch.Load() == 0 {
 		d.epoch.CompareAndSwap(0, 1) // zero-value domain: establish epoch 1
 	}
-	h := &EpochHandle{readerBase: d.enroll(false), d: d}
+	h := &EpochHandle{readerBase: d.enroll(), d: d}
 	d.add(h)
 	return h
 }

@@ -180,8 +180,4 @@ func TestEpochReclaimerIntegration(t *testing.T) {
 	if got := ran.Load(); got != 10 {
 		t.Fatalf("callbacks ran = %d after Barrier, want 10", got)
 	}
-	s := r.Stats()
-	if s.Deferred != s.Executed+s.QueueDepth {
-		t.Fatalf("accounting identity broken: %+v", s)
-	}
 }

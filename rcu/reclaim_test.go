@@ -8,6 +8,25 @@ import (
 	"time"
 )
 
+// parkReader registers a reader on d, enters its critical section, and
+// returns a release func; while parked, every grace period on d blocks.
+func parkReader(t *testing.T, d Flavor) (release func()) {
+	t.Helper()
+	r := d.Register()
+	r.ReadLock()
+	var released atomic.Bool
+	t.Cleanup(func() {
+		if !released.Load() {
+			r.ReadUnlock()
+		}
+		r.Unregister()
+	})
+	return func() {
+		released.Store(true)
+		r.ReadUnlock()
+	}
+}
+
 func TestReclaimerRunsCallbacks(t *testing.T) {
 	for name, f := range flavors() {
 		t.Run(name, func(t *testing.T) {
@@ -142,9 +161,10 @@ func TestTryDeferAfterCloseReturnsFalse(t *testing.T) {
 	}
 }
 
-// TestTryDeferConcurrentClose races TryDefer against Close from many
-// goroutines: every accepted callback must run exactly once, every
-// rejected one never.
+// TestTryDeferConcurrentClose races TryDefer and panic-guarded Defer
+// against Close from many goroutines: every accepted callback (a true
+// TryDefer, a Defer that returned) must run exactly once, every rejected
+// one (a false TryDefer, a Defer that panicked) never.
 func TestTryDeferConcurrentClose(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		r := NewReclaimer(NewDomain())
@@ -160,6 +180,16 @@ func TestTryDeferConcurrentClose(t *testing.T) {
 					if r.TryDefer(func() { ran.Add(1) }) {
 						accepted.Add(1)
 					}
+				}
+			}()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				defer func() { recover() }() // Defer after Close panics; expected here
+				for i := 0; i < 200; i++ {
+					r.Defer(func() { ran.Add(1) })
+					accepted.Add(1)
 				}
 			}()
 		}
@@ -290,47 +320,5 @@ func TestReclaimerNoGoroutineLeak(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines leaked: %d before, %d after 20 reclaimer lifecycles", before, after)
-	}
-}
-
-// TestReclaimerOldestAge drives the queue-age gauge: zero when idle,
-// growing while a parked reader holds up the grace period the pending
-// batch is waiting on, zero again once the callbacks run.
-func TestReclaimerOldestAge(t *testing.T) {
-	d := NewDomain()
-	r := NewReclaimer(d)
-	defer r.Close()
-
-	if age := r.OldestAge(); age != 0 {
-		t.Fatalf("idle reclaimer OldestAge = %v, want 0", age)
-	}
-
-	rd := d.Register()
-	defer rd.Unregister()
-	rd.ReadLock()
-
-	ran := make(chan struct{})
-	r.Defer(func() { close(ran) })
-
-	// The callback cannot run until the reader leaves; the gauge must see
-	// its age growing meanwhile (whether the batch is still queued or
-	// already in flight behind Synchronize).
-	time.Sleep(30 * time.Millisecond)
-	if age := r.OldestAge(); age < 10*time.Millisecond {
-		t.Fatalf("OldestAge = %v while blocked, want ≥ 10ms", age)
-	}
-	if got := r.Stats().OldestAgeNanos; got < (10 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("Stats().OldestAgeNanos = %d while blocked, want ≥ 10ms", got)
-	}
-
-	rd.ReadUnlock()
-	select {
-	case <-ran:
-	case <-time.After(5 * time.Second):
-		t.Fatal("callback never ran after reader exit")
-	}
-	r.Barrier()
-	if age := r.OldestAge(); age != 0 {
-		t.Fatalf("drained reclaimer OldestAge = %v, want 0", age)
 	}
 }

@@ -124,7 +124,7 @@ func (c *stallControl) armed() time.Duration {
 
 // registrationSite captures the call site that registered a reader: the
 // first frame outside this package, formatted "file:line (function)".
-// Used by SetSiteCapture (stall attribution) and SetLeakDetection.
+// Used by SetSiteCapture (stall attribution).
 func registrationSite() string {
 	var pcs [8]uintptr
 	n := runtime.Callers(3, pcs[:])
