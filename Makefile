@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build test race bench figures figures-paper bench-forest bench-scan bench-wal bench-kvserver loadtest torture torture-smoke torture-stall torture-forest torture-scan torture-ebr torture-crash fuzz vet fmt clean
+.PHONY: all ci build test test-short race bench figures figures-paper bench-forest bench-scan bench-wal bench-kvserver loadtest torture torture-smoke torture-stall torture-forest torture-scan torture-ebr torture-crash fuzz vet fmt clean
 
 all: build vet test
 
@@ -59,6 +59,12 @@ fmt:
 
 test:
 	$(GO) test -timeout 300s ./...
+
+# The developer loop: the conformance battery and the torture seed
+# sweeps run fewer subjects and seeds, every negative control still
+# runs. Tier-1, `make test`, `make ci` and CI run without -short.
+test-short:
+	$(GO) test -short ./...
 
 race:
 	$(GO) test -race ./...

@@ -6,6 +6,14 @@
 // invariant suite, and an exhaustive linearizability checker whose
 // failing histories are shrunk to a minimal core.
 //
+// The subjects are the shipped code: `-impl citrus` (the default) is a
+// Citrus tree, and `-impl forest` is the citrus.Forest kvserver serves,
+// each shard's flavor shadowed by its own reclamation oracle. A tree
+// runs in torture mode because its flavor is such an oracle; no
+// separate build or switch is involved. Other -impl values name
+// registry structures, which get the structural and linearizability
+// oracles only.
+//
 // The -seed flag drives every schedule-injection decision and every
 // workload draw, so a failure report's seed is a reproduction recipe:
 //
@@ -31,12 +39,13 @@
 // harness exercises the flavor seam, not just the default flavor.
 //
 // `-flavor stalledreader` is a robustness scenario: a dedicated reader
-// parks inside its critical section while churn keeps needing grace
-// periods, and the run additionally asserts — as positive controls —
-// that the stall detector fired and that the parked reader saw its
-// domain's oldest grace period (rcu.Stats.OldestSyncAgeNanos) at or
-// past the stall threshold, without the tree corrupting (see
-// docs/RCU.md "Robustness").
+// parks inside its critical section (on shard 0 of a forest) while
+// churn keeps needing grace periods, and the run additionally asserts —
+// as positive controls — that the stall detector fired and that the
+// parked reader saw its domain's oldest grace period
+// (rcu.Stats.OldestSyncAgeNanos) at or past the stall threshold,
+// without the tree corrupting (see docs/RCU.md "Robustness"); on a
+// forest, also that the sibling shards kept completing grace periods.
 //
 // `-flavor scanstorm` is the scan-discipline scenario: half the churn
 // workers run batched range scans (the read-side critical section is

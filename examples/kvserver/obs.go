@@ -198,7 +198,6 @@ func (s *server) servePromMetrics(w http.ResponseWriter, r *http.Request) {
 			rs := *t.RCU
 			e.Counter("citrus_rcu_synchronizes_total", "Grace periods driven to completion.", float64(rs.Synchronizes), shard, flavorL)
 			e.Counter("citrus_rcu_stalls_total", "Grace-period stall reports.", float64(rs.Stalls), shard, flavorL)
-			e.Counter("citrus_rcu_sync_abandoned_total", "Bounded synchronize calls abandoned by their caller.", float64(rs.SyncAbandoned), shard, flavorL)
 			// leads + shares + expedited == synchronizes: each call counts
 			// once, under how it finished.
 			e.Counter("citrus_rcu_sync_leads_total", "Synchronize calls released by a grace period they ran themselves (one part of synchronizes).", float64(rs.SyncLeads), shard, flavorL)

@@ -43,12 +43,7 @@ func flavorStats(f rcu.Flavor) rcu.Stats {
 // armStallDetector applies the shared stall-detector config to one
 // shard's flavor, if the flavor supports it.
 func armStallDetector(f rcu.Flavor, cfg kvConfig, shard int, onStall func(shard int, r rcu.StallReport)) {
-	sc, ok := f.(rcu.StallControl)
-	if !ok {
-		return
-	}
-	sc.SetSiteCapture(true)
-	if cfg.stallTimeout > 0 {
+	if sc, ok := f.(rcu.StallControl); ok && cfg.stallTimeout > 0 {
 		sc.SetStallTimeout(cfg.stallTimeout)
 		sc.SetStallHandler(func(r rcu.StallReport) { onStall(shard, r) })
 	}

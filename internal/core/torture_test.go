@@ -6,12 +6,15 @@ import (
 	"github.com/go-citrus/citrus/rcu"
 )
 
-// stampOracle is a minimal ReclaimOracle for white-box tests: it counts
-// stamps and checks, and reports a violation when told to.
+// stampOracle is a minimal Auditor for white-box tests: a Domain whose
+// retirements go through a reclaimer, counting stamps and checks and
+// keeping the tree's poison-trip count.
 type stampOracle struct {
-	stamps  int
-	checks  int
-	violate error
+	*rcu.Domain
+	rec    *rcu.Reclaimer
+	stamps int
+	checks int
+	trips  func() int64
 }
 
 func (o *stampOracle) RetireStamp() uint64 {
@@ -21,20 +24,21 @@ func (o *stampOracle) RetireStamp() uint64 {
 
 func (o *stampOracle) CheckReclaim(uint64) error {
 	o.checks++
-	return o.violate
+	return nil
 }
+
+func (o *stampOracle) TryDefer(fn func()) bool  { return o.rec.TryDefer(fn) }
+func (o *stampOracle) Watch(trips func() int64) { o.trips = trips }
 
 // TestPoisonSwingsChildrenAndCountsTrips: after a deleted node's grace
 // period, poison mode swings its child links to the sentinel; a search
 // step walking through the stale node lands on the sentinel and is
 // counted as a trip.
 func TestPoisonSwingsChildrenAndCountsTrips(t *testing.T) {
-	dom := rcu.NewDomain()
-	rec := rcu.NewReclaimer(dom)
-	defer rec.Close()
-	tr := NewTree[int, int](dom)
-	orc := &stampOracle{}
-	tr.EnableTorture(rec, orc, true)
+	orc := &stampOracle{Domain: rcu.NewDomain()}
+	orc.rec = rcu.NewReclaimer(orc.Domain)
+	defer orc.rec.Close()
+	tr := NewTree[int, int](orc)
 
 	h := tr.NewHandle()
 	defer h.Close()
@@ -51,7 +55,7 @@ func TestPoisonSwingsChildrenAndCountsTrips(t *testing.T) {
 	if !h.Delete(5) {
 		t.Fatal("Delete(5) = false")
 	}
-	rec.Barrier() // grace period + reclaim callbacks have run
+	orc.rec.Barrier() // grace period + reclaim callbacks have run
 
 	if orc.stamps != 1 || orc.checks != 1 {
 		t.Fatalf("oracle saw %d stamps, %d checks; want 1, 1", orc.stamps, orc.checks)
@@ -59,8 +63,8 @@ func TestPoisonSwingsChildrenAndCountsTrips(t *testing.T) {
 	if got := n5.child[left].Load(); got == nil || got.kind != kindPoisoned {
 		t.Fatalf("reclaimed node's left child = %v, want the poison sentinel", got)
 	}
-	if tr.PoisonTrips() != 0 {
-		t.Fatalf("PoisonTrips = %d before any stale walk, want 0", tr.PoisonTrips())
+	if orc.trips() != 0 {
+		t.Fatalf("poison trips = %d before any stale walk, want 0", orc.trips())
 	}
 	// A stale reader stepping through n5 reaches the sentinel and
 	// compares against it — that is the violation observation.
@@ -68,8 +72,8 @@ func TestPoisonSwingsChildrenAndCountsTrips(t *testing.T) {
 	if c := stale.compareKey(7); c != -1 {
 		t.Fatalf("poison sentinel compareKey = %d, want -1", c)
 	}
-	if got := tr.PoisonTrips(); got != 1 {
-		t.Fatalf("PoisonTrips = %d after a stale walk, want 1", got)
+	if got := orc.trips(); got != 1 {
+		t.Fatalf("poison trips = %d after a stale walk, want 1", got)
 	}
 	// The sentinel dead-ends: both children nil, so searches terminate.
 	if stale.child[left].Load() != nil || stale.child[right].Load() != nil {
@@ -83,34 +87,6 @@ func TestPoisonSwingsChildrenAndCountsTrips(t *testing.T) {
 		t.Fatal("key 10 lost")
 	}
 }
-
-// TestTortureOracleViolationRecorded: a CheckReclaim error is counted
-// and surfaced through TortureReport.
-func TestTortureOracleViolationRecorded(t *testing.T) {
-	dom := rcu.NewDomain()
-	rec := rcu.NewReclaimer(dom)
-	defer rec.Close()
-	tr := NewTree[int, int](dom)
-	orc := &stampOracle{violate: errViolation}
-	tr.EnableTorture(rec, orc, false)
-
-	h := tr.NewHandle()
-	defer h.Close()
-	h.Insert(1, 1)
-	h.Delete(1)
-	rec.Barrier()
-
-	n, first := tr.TortureReport()
-	if n != 1 || first != errViolation {
-		t.Fatalf("TortureReport = (%d, %v), want (1, %v)", n, first, errViolation)
-	}
-}
-
-var errViolation = &violationErr{}
-
-type violationErr struct{}
-
-func (*violationErr) Error() string { return "synthetic reclamation violation" }
 
 // TestMutantIgnoreTagsDisablesLine38: validate with a stale tag fails
 // on the correct build and passes under the mutant — the white-box pin

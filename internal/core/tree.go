@@ -30,20 +30,27 @@ type Tree[K cmp.Ordered, V any] struct {
 	handles      map[*Handle[K, V]]struct{}
 	closedTotals opTotals
 
-	// Torture mode (nil in production): reclamation-oracle checks and
-	// node poisoning for cmd/citrustorture (see torture.go).
-	torture        *tortureState[K, V]
+	// Torture mode (nil in production): the flavor as an Auditor, and
+	// the sentinel reclaimed nodes are poisoned with (see torture.go).
+	audit          Auditor
 	poisonSentinel *node[K, V]
 }
 
 // NewTree returns an empty tree whose searches and grace periods use the
 // given RCU flavor. The flavor is shared: every Handle registers with it,
-// and delete's synchronize_rcu waits on its readers.
+// and delete's synchronize_rcu waits on its readers. A flavor that is an
+// Auditor puts the tree in torture mode.
 func NewTree[K cmp.Ordered, V any](flavor rcu.Flavor) *Tree[K, V] {
 	root := &node[K, V]{kind: kindNegInf}
 	infinity := &node[K, V]{kind: kindPosInf}
 	root.child[right].Store(infinity)
-	return &Tree[K, V]{flavor: flavor, root: root}
+	t := &Tree[K, V]{flavor: flavor, root: root}
+	if a, ok := flavor.(Auditor); ok {
+		t.audit = a
+		t.poisonSentinel = &node[K, V]{kind: kindPoisoned, marked: true}
+		a.Watch(t.poisonTrips)
+	}
+	return t
 }
 
 // A Handle gives one goroutine access to the tree. Handles must not be

@@ -306,7 +306,14 @@ func NewForestMap[K cmp.Ordered, V any](shards int) dict.Map[K, V] {
 	if shards != 1 {
 		name = fmt.Sprintf("%s (%d shards)", NameForest, shards)
 	}
-	return &forestMap[K, V]{f: citrus.NewForest[K, V](shards), name: name}
+	return ForestMap(citrus.NewForest[K, V](shards), name)
+}
+
+// ForestMap puts an existing forest behind the dict API under the given
+// series name; its handles wrap the forest's own. The returned map
+// implements ForestStatser.
+func ForestMap[K cmp.Ordered, V any](f *citrus.Forest[K, V], name string) dict.Map[K, V] {
+	return &forestMap[K, V]{f: f, name: name}
 }
 
 // ForestFactory returns a registry entry for an n-shard forest, for

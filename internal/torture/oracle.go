@@ -5,6 +5,13 @@
 // points of internal/schedpoint, and watches them with three oracles —
 // the linearizability checker, the structural invariant suite, and this
 // package's reclamation-safety Oracle.
+//
+// Torture mode is a property of the flavor: a tree built on an Oracle
+// (a core.Auditor) defers, checks and poisons every node it unlinks.
+// So the harness tortures the shipped code, not a copy of it: the
+// citrus subject is a core tree on an Oracle, and the forest subject is
+// the citrus.Forest kvserver serves, built with one Oracle per shard
+// through citrus.WithShardFlavor.
 package torture
 
 import (
@@ -12,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/go-citrus/citrus/internal/core"
 	"github.com/go-citrus/citrus/rcu"
 )
 
@@ -20,8 +28,10 @@ import (
 // global retirement epoch, and can decide — at the instant a retired
 // node is reclaimed — whether any reader that could still reach the
 // node is inside its critical section. It implements rcu.Flavor (so a
-// tree runs on it transparently) and core.ReclaimOracle (so the tree's
-// reclamation path consults it).
+// tree runs on it transparently) and core.Auditor (so a tree built on
+// it is in torture mode: its retired nodes go through the oracle's own
+// reclaimer, are checked here and poisoned, and the tree's poison trips
+// are summed here).
 //
 // Soundness: a violation is reported only if a reader (a) recorded its
 // entry epoch before the node's retirement stamp and (b) still holds
@@ -35,6 +45,7 @@ import (
 // schedules.
 type Oracle struct {
 	inner rcu.Flavor
+	rec   *rcu.Reclaimer
 	epoch atomic.Uint64 // bumped once per retirement; entry stamps quote it
 
 	mu      sync.Mutex // registration copy-on-write, as in rcu.Domain
@@ -43,16 +54,22 @@ type Oracle struct {
 
 	checks     atomic.Int64
 	violations atomic.Int64
-	vmu        sync.Mutex
+	vmu        sync.Mutex // guards first and trips
 	first      error
+	trips      []func() int64
 }
 
-var _ rcu.Flavor = (*Oracle)(nil)
+var (
+	_ rcu.Flavor   = (*Oracle)(nil)
+	_ core.Auditor = (*Oracle)(nil)
+)
 
-// NewOracle returns an oracle shadowing the given flavor.
+// NewOracle returns an oracle shadowing the given flavor. It starts the
+// oracle's reclaimer; Close stops it.
 func NewOracle(inner rcu.Flavor) *Oracle {
 	o := &Oracle{inner: inner}
 	o.epoch.Store(1) // entry stamp 0 means "outside any critical section"
+	o.rec = rcu.NewReclaimer(o)
 	return o
 }
 
@@ -89,14 +106,14 @@ func (o *Oracle) Register() rcu.Reader {
 func (o *Oracle) Synchronize() { o.inner.Synchronize() }
 
 // RetireStamp records a retirement instant: it advances the epoch and
-// returns the new value. Implements core.ReclaimOracle.
+// returns the new value. Implements core.Auditor.
 func (o *Oracle) RetireStamp() uint64 { return o.epoch.Add(1) }
 
 // CheckReclaim reports whether the node retired at stamp may be
 // reclaimed now: it returns a non-nil error iff some reader entered its
 // critical section before the retirement and is still inside it —
 // i.e. the grace period that was supposed to separate retirement from
-// reclamation did not happen. Implements core.ReclaimOracle.
+// reclamation did not happen. Implements core.Auditor.
 func (o *Oracle) CheckReclaim(stamp uint64) error {
 	o.checks.Add(1)
 	rsp := o.readers.Load()
@@ -118,11 +135,42 @@ func (o *Oracle) CheckReclaim(stamp uint64) error {
 	return nil
 }
 
+// TryDefer runs fn after a grace period on the oracle's reclaimer, or
+// reports false once the oracle is closed. Implements core.Auditor.
+func (o *Oracle) TryDefer(fn func()) bool { return o.rec.TryDefer(fn) }
+
+// Watch adds a tree's poison-trip count to PoisonTrips. Implements
+// core.Auditor.
+func (o *Oracle) Watch(trips func() int64) {
+	o.vmu.Lock()
+	o.trips = append(o.trips, trips)
+	o.vmu.Unlock()
+}
+
+// Barrier waits until every reclamation deferred before the call has
+// been checked and poisoned.
+func (o *Oracle) Barrier() { o.rec.Barrier() }
+
+// Close runs every pending reclamation and stops the reclaimer.
+func (o *Oracle) Close() { o.rec.Close() }
+
 // Checks reports how many reclamations the oracle examined.
 func (o *Oracle) Checks() int64 { return o.checks.Load() }
 
 // Violations reports how many reclamations were flagged.
 func (o *Oracle) Violations() int64 { return o.violations.Load() }
+
+// PoisonTrips reports how many times a search on a watched tree walked
+// a reclaimed (poisoned) node.
+func (o *Oracle) PoisonTrips() int64 {
+	o.vmu.Lock()
+	defer o.vmu.Unlock()
+	var n int64
+	for _, trips := range o.trips {
+		n += trips()
+	}
+	return n
+}
 
 // FirstViolation returns the first flagged reclamation's error, nil if
 // none.
@@ -130,6 +178,19 @@ func (o *Oracle) FirstViolation() error {
 	o.vmu.Lock()
 	defer o.vmu.Unlock()
 	return o.first
+}
+
+// Report reports the oracle's failures: the flagged reclamations and
+// the first one's error, or else the poison trips. (0, nil) means the
+// trees built on the oracle passed.
+func (o *Oracle) Report() (int64, error) {
+	if n := o.Violations(); n != 0 {
+		return n, o.FirstViolation()
+	}
+	if n := o.PoisonTrips(); n != 0 {
+		return n, fmt.Errorf("a search walked a reclaimed (poisoned) node %d time(s)", n)
+	}
+	return 0, nil
 }
 
 // ReadLock enters the shadowed reader's critical section, then records

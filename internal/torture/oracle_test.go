@@ -14,6 +14,7 @@ import (
 // must flag it.
 func TestOracleFlagsReclaimInsideStaleCS(t *testing.T) {
 	o := NewOracle(rcu.NoSync(rcu.NewDomain()))
+	defer o.Close()
 	r := o.Register()
 	defer r.Unregister()
 
@@ -41,6 +42,7 @@ func TestOracleFlagsReclaimInsideStaleCS(t *testing.T) {
 // its critical section by check time, so the oracle stays silent.
 func TestOracleNoFalsePositiveAfterRealSync(t *testing.T) {
 	o := NewOracle(rcu.NewDomain())
+	defer o.Close()
 	r := o.Register()
 	defer r.Unregister()
 
@@ -68,6 +70,7 @@ func TestOracleNoFalsePositiveAfterRealSync(t *testing.T) {
 // check time.
 func TestOracleIgnoresLaterReaders(t *testing.T) {
 	o := NewOracle(rcu.NoSync(rcu.NewDomain()))
+	defer o.Close()
 	r := o.Register()
 	defer r.Unregister()
 
@@ -83,6 +86,7 @@ func TestOracleIgnoresLaterReaders(t *testing.T) {
 // entry stamp must not haunt later checks.
 func TestOracleUnregisterForgetsReader(t *testing.T) {
 	o := NewOracle(rcu.NoSync(rcu.NewDomain()))
+	defer o.Close()
 	r := o.Register()
 	r.ReadLock()
 	stamp := o.RetireStamp()
@@ -96,15 +100,13 @@ func TestOracleUnregisterForgetsReader(t *testing.T) {
 
 // TestOracleEndToEndNoSyncTree is the whole tentpole in one
 // deterministic test, in the style of core's mutation tests: a tree on
-// a NoSync flavor (shadowed by the oracle) retires a node while a
-// hand-suspended reader's critical section still spans it, and the
-// oracle — wired through core.EnableTorture — records the violation.
+// a NoSync flavor (shadowed by the oracle, which puts it in torture
+// mode) retires a node while a hand-suspended reader's critical section
+// still spans it, and the oracle records the violation.
 func TestOracleEndToEndNoSyncTree(t *testing.T) {
 	o := NewOracle(rcu.NoSync(rcu.NewDomain()))
-	rec := rcu.NewReclaimer(o)
-	defer rec.Close()
+	defer o.Close()
 	tr := core.NewTree[int, int](o)
-	tr.EnableTorture(rec, o, true)
 
 	h := tr.NewHandle()
 	defer h.Close()
@@ -123,13 +125,13 @@ func TestOracleEndToEndNoSyncTree(t *testing.T) {
 	if !h2.Delete(5) {
 		t.Fatal("Delete(5) = false")
 	}
-	rec.Barrier() // flush the reclaim callback; NoSync makes it immediate
+	o.Barrier() // flush the reclaim callback; NoSync makes it immediate
 
 	reader.ReadUnlock()
 
-	violations, first := tr.TortureReport()
+	violations, first := o.Report()
 	if violations == 0 || first == nil {
-		t.Fatalf("TortureReport = (%d, %v); the NoSync reclamation inside an open critical section went unflagged", violations, first)
+		t.Fatalf("Report = (%d, %v); the NoSync reclamation inside an open critical section went unflagged", violations, first)
 	}
 	if o.Violations() == 0 {
 		t.Fatal("oracle recorded no violations")
@@ -140,10 +142,8 @@ func TestOracleEndToEndNoSyncTree(t *testing.T) {
 // stays silent — the no-false-positive half of the negative control.
 func TestOracleEndToEndRealDomainClean(t *testing.T) {
 	o := NewOracle(rcu.NewDomain())
-	rec := rcu.NewReclaimer(o)
-	defer rec.Close()
+	defer o.Close()
 	tr := core.NewTree[int, int](o)
-	tr.EnableTorture(rec, o, true)
 
 	h := tr.NewHandle()
 	defer h.Close()
@@ -153,15 +153,15 @@ func TestOracleEndToEndRealDomainClean(t *testing.T) {
 	for k := 0; k < 32; k += 2 {
 		h.Delete(k)
 	}
-	rec.Barrier()
+	o.Barrier()
 
-	if v, first := tr.TortureReport(); v != 0 {
+	if v, first := o.Report(); v != 0 {
 		t.Fatalf("violations on a correct flavor: %d (%v)", v, first)
 	}
 	if o.Checks() == 0 {
 		t.Fatal("oracle saw no reclamations; the wiring is dead")
 	}
-	if trips := tr.PoisonTrips(); trips != 0 {
+	if trips := o.PoisonTrips(); trips != 0 {
 		t.Fatalf("PoisonTrips = %d on a correct flavor, want 0", trips)
 	}
 	if err := tr.CheckInvariants(); err != nil {

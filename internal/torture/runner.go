@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	citrus "github.com/go-citrus/citrus"
 	"github.com/go-citrus/citrus/citrusstat"
 	"github.com/go-citrus/citrus/internal/core"
 	"github.com/go-citrus/citrus/internal/dict"
@@ -94,16 +95,14 @@ func (v *Verdict) fail(format string, args ...any) {
 }
 
 // subject is one torture target: a handle factory plus the quiescent
-// hooks the round checks need. Citrus subjects carry the full oracle
-// wiring; registry subjects only the generic dict surface.
+// hooks the round checks need. The citrus and forest subjects carry
+// their oracles in the audit; registry subjects leave it empty and
+// offer only the generic dict surface.
 type subject struct {
 	newHandle func() dict.Handle[int, int]
 	keys      func() []int
 	check     func() error
-	barrier   func()                // flush retirements; nil when not applicable
-	fold      func(v *Verdict)      // accumulate oracle and grace-period stats; nil ok
-	violation func() (int64, error) // oracle verdict; nil when no oracle
-	close     func()
+	audit
 }
 
 // buildSubject constructs a fresh torture target for cfg. Each round
@@ -111,14 +110,12 @@ type subject struct {
 // from one round cannot mask or fabricate failures in the next.
 func buildSubject(cfg Config) (*subject, error) {
 	name := cfg.Impl
-	if cfg.Shards != 0 && !strings.EqualFold(name, "forest") {
+	forest := strings.EqualFold(name, "forest")
+	if cfg.Shards != 0 && !forest {
 		return nil, fmt.Errorf("shards apply only to the forest subject, not %q", name)
 	}
-	if name == "" || strings.EqualFold(name, "citrus") {
-		return buildCitrusSubject(cfg)
-	}
-	if strings.EqualFold(name, "forest") {
-		return buildForestSubject(cfg)
+	if name == "" || strings.EqualFold(name, "citrus") || forest {
+		return buildAudited(cfg, forest)
 	}
 	if cfg.Flavor != "" {
 		return nil, fmt.Errorf("flavor applies only to the citrus and forest subjects, not %q", name)
@@ -126,12 +123,7 @@ func buildSubject(cfg Config) (*subject, error) {
 	for _, f := range impls.All[int, int]() {
 		if strings.EqualFold(f.Name, name) {
 			m := f.New()
-			return &subject{
-				newHandle: m.NewHandle,
-				keys:      m.Keys,
-				check:     m.CheckInvariants,
-				close:     func() {},
-			}, nil
+			return &subject{newHandle: m.NewHandle, keys: m.Keys, check: m.CheckInvariants}, nil
 		}
 	}
 	return nil, fmt.Errorf("unknown implementation %q", name)
@@ -164,107 +156,178 @@ const (
 	hogDwell  = 500 * time.Microsecond // scanhog: consumer dwell per emission, inside the CS
 )
 
-func buildCitrusSubject(cfg Config) (*subject, error) {
-	var inner rcu.Flavor
-	var stalldom *rcu.Domain
-	var stallReports, parkedAge atomic.Int64
-	switch cfg.Flavor {
-	case "", "scalable":
-		inner = rcu.NewDomain()
-	case "classic":
-		inner = rcu.NewClassicDomain()
-	case "nosync":
-		inner = rcu.NoSync(rcu.NewDomain())
-	case "snapearly":
-		// Negative control for grace-period combining: sequence targets
-		// are computed one stride early, so Synchronize can return before
-		// pre-existing readers finish. The oracles must catch it.
-		sd := rcu.NewDomain()
-		sd.SetSnapEarlyMutant(true)
-		inner = sd
-	case "ebr":
-		// Epoch-based reclamation: readers pin the global epoch instead
-		// of publishing per-section counters, and Synchronize advances
-		// the epoch twice. Same oracle, same churn — the flavor seam is
-		// the only thing that changes.
-		inner = rcu.NewEpochDomain()
-	case "ebrearly":
-		// Negative control for the epoch flavor: the advance threshold is
-		// computed one epoch early, so pre-existing pinned readers are
-		// never waited for and Synchronize returns immediately over live
-		// critical sections. The reclamation oracle must catch the
-		// premature reclamations this allows.
-		ed := rcu.NewEpochDomain()
-		ed.SetAdvanceEarlyMutant(true)
-		inner = ed
-	case "stalledreader":
-		// Robustness scenario: a dedicated reader goroutine parks inside
-		// its critical section, stalling every grace period it predates.
-		// The stall detector must trip and the parked reader must see
-		// grace periods age past the stall threshold (positive controls
-		// in Run), and the tree must come through the abuse uncorrupted.
-		stalldom = rcu.NewDomain()
-		stalldom.SetSiteCapture(true)
-		stalldom.SetStallTimeout(stallThreshold)
-		inner = stalldom
-	case "scanstorm":
-		// Scan-heavy robustness scenario: batched scans against churn.
-		// Run fails the verdict if the median grace period reaches the
-		// stall threshold — batching must keep grace periods short.
-		inner = rcu.NewDomain()
-	case "scanhog":
-		// Negative control for scan discipline: unbatched full-range
-		// scans with a slow consumer hold the read side while churn
-		// needs grace periods. The long median grace period (and the
-		// stall reports) MUST surface as a failure.
-		sd := rcu.NewDomain()
-		sd.SetStallTimeout(stallThreshold)
-		sd.SetStallHandler(func(rcu.StallReport) { stallReports.Add(1) })
-		inner = sd
-	default:
+// flavors builds, per -flavor name, the RCU flavor a shard's oracle
+// shadows. The forest subject builds one per shard, so the negative
+// controls (nosync, snapearly, ebrearly) break every shard — routing
+// must not launder a broken grace period into a pass.
+var flavors = map[string]func() rcu.Flavor{
+	"":         newDomain,
+	"scalable": newDomain,
+	"classic":  func() rcu.Flavor { return rcu.NewClassicDomain() },
+	"nosync":   func() rcu.Flavor { return rcu.NoSync(rcu.NewDomain()) },
+	// Negative control for grace-period combining: sequence targets are
+	// computed one stride early, so Synchronize can return before
+	// pre-existing readers finish. The oracles must catch it.
+	"snapearly": func() rcu.Flavor {
+		d := rcu.NewDomain()
+		d.SetSnapEarlyMutant(true)
+		return d
+	},
+	// Epoch-based reclamation: readers pin the global epoch instead of
+	// publishing per-section counters, and Synchronize advances the
+	// epoch twice. Same oracle, same churn — the flavor seam is the only
+	// thing that changes.
+	"ebr": func() rcu.Flavor { return rcu.NewEpochDomain() },
+	// Negative control for the epoch flavor: the advance threshold is
+	// computed one epoch early, so pre-existing pinned readers are never
+	// waited for and Synchronize returns immediately over live critical
+	// sections. The reclamation oracle must catch the premature
+	// reclamations this allows.
+	"ebrearly": func() rcu.Flavor {
+		d := rcu.NewEpochDomain()
+		d.SetAdvanceEarlyMutant(true)
+		return d
+	},
+	// Robustness scenario: a dedicated reader goroutine parks inside its
+	// critical section on shard 0, stalling every grace period it
+	// predates. The stall detector must trip and the parked reader must
+	// see grace periods age past the stall threshold (positive controls
+	// in Run), and the tree must come through the abuse uncorrupted.
+	"stalledreader": newDomain,
+	// Scan-heavy robustness scenario: batched scans against churn. Run
+	// fails the verdict if the median grace period, over every shard,
+	// reaches the stall threshold — batching must keep grace periods
+	// short.
+	"scanstorm": newDomain,
+	// Negative control for scan discipline: unbatched full-range scans
+	// with a slow consumer hold the read side while churn needs grace
+	// periods. The long median grace period (and the stall reports) MUST
+	// surface as a failure.
+	"scanhog": newDomain,
+}
+
+func newDomain() rcu.Flavor { return rcu.NewDomain() }
+
+// buildAudited builds the citrus subject, a core tree, or the forest
+// subject, the citrus.Forest kvserver serves, on oracle-shadowed
+// flavors: one oracle per shard (the citrus subject is one shard), each
+// with its own reclaimer, so a reclamation that one shard's epochs
+// can't justify surfaces in that shard's oracle alone, and a
+// cross-shard misroute surfaces in the forest's own CheckInvariants or
+// as a false negative.
+//
+// Under stalledreader and scanhog only shard 0 gets stall detection,
+// and under stalledreader the parked reader: for the forest the
+// scenario's claim is isolation, and the positive control demands both
+// that shard 0 reports stalls and ages its grace periods AND that the
+// sibling shards' grace periods kept completing while it was parked
+// (Verdict.SiblingSyncs > 0).
+func buildAudited(cfg Config, forest bool) (*subject, error) {
+	newInner, ok := flavors[cfg.Flavor]
+	if !ok {
 		return nil, fmt.Errorf("unknown flavor %q (scalable, classic, ebr, nosync, snapearly, ebrearly, stalledreader, scanstorm, scanhog)", cfg.Flavor)
 	}
-	o := NewOracle(inner)
-	rec := rcu.NewReclaimer(o)
-	tr := core.NewTree[int, int](o)
-	tr.EnableTorture(rec, o, true)
-	stopParker := func() {}
-	if stalldom != nil {
-		stalldom.SetStallHandler(func(rcu.StallReport) { stallReports.Add(1) })
-		stopParker = startParker(o, stalldom, &parkedAge)
+	if forest && cfg.Flavor == "scanhog" {
+		return nil, fmt.Errorf("scanhog applies only to the citrus subject: the forest's scans collect per shard and emit outside the critical sections, so a slow consumer cannot hog the read side")
 	}
-	return &subject{
-		newHandle: func() dict.Handle[int, int] { return coreTortureHandle{tr.NewHandle()} },
-		keys:      tr.Keys,
-		check:     tr.CheckInvariants,
-		barrier:   rec.Barrier,
-		fold: func(v *Verdict) {
-			v.ReclaimChecks += o.Checks()
-			v.ReclaimViolations += o.Violations()
-			v.PoisonTrips += tr.PoisonTrips()
-			v.StallReports += stallReports.Load()
-			v.ParkedSyncAgeNanos = max(v.ParkedSyncAgeNanos, parkedAge.Load())
-			if src, ok := inner.(rcu.StatsSource); ok {
-				v.SyncWait.Merge(src.Stats().SyncWait)
+	s := &subject{}
+	newFlavor := func() rcu.Flavor {
+		o := NewOracle(newInner())
+		s.oracles = append(s.oracles, o)
+		return o
+	}
+	if forest {
+		shards := cfg.Shards
+		if shards <= 0 {
+			shards = 4
+		}
+		m := impls.ForestMap(citrus.NewForest[int, int](shards, citrus.WithShardFlavor[int](newFlavor)), "forest")
+		s.newHandle, s.keys, s.check = m.NewHandle, m.Keys, m.CheckInvariants
+	} else {
+		tr := core.NewTree[int, int](newFlavor())
+		s.newHandle = func() dict.Handle[int, int] { return coreTortureHandle{tr.NewHandle()} }
+		s.keys, s.check = tr.Keys, tr.CheckInvariants
+	}
+	s.sibBase = s.siblingSyncs()
+	if cfg.Flavor == "stalledreader" || cfg.Flavor == "scanhog" {
+		sc := s.oracles[0].inner.(rcu.StallControl)
+		sc.SetStallTimeout(stallThreshold)
+		sc.SetStallHandler(func(rcu.StallReport) { s.stallReports.Add(1) })
+	}
+	if cfg.Flavor == "stalledreader" {
+		s.stopParker = startParker(s.oracles[0], &s.parkedAge)
+	}
+	return s, nil
+}
+
+// An audit is what the citrus and forest subjects share: an oracle per
+// shard, and the stall scenarios' counters. Its zero value audits
+// nothing.
+type audit struct {
+	oracles      []*Oracle
+	stallReports atomic.Int64
+	parkedAge    atomic.Int64 // the parked reader's largest age sample
+	sibBase      int64        // siblingSyncs when the subject was built
+	stopParker   func()
+}
+
+// barrier waits until every reclamation deferred so far, on every
+// shard, has been checked and poisoned.
+func (a *audit) barrier() {
+	for _, o := range a.oracles {
+		o.Barrier()
+	}
+}
+
+// siblingSyncs counts the grace periods completed on every shard but
+// shard 0: the forest stalledreader's isolation evidence.
+func (a *audit) siblingSyncs() int64 {
+	var n int64
+	for i, o := range a.oracles {
+		if src, ok := o.inner.(rcu.StatsSource); ok && i > 0 {
+			n += src.Stats().Synchronizes
+		}
+	}
+	return n
+}
+
+// fold accumulates the oracles' and the shard flavors' accounting.
+func (a *audit) fold(v *Verdict) {
+	for _, o := range a.oracles {
+		v.ReclaimChecks += o.Checks()
+		v.ReclaimViolations += o.Violations()
+		v.PoisonTrips += o.PoisonTrips()
+		if src, ok := o.inner.(rcu.StatsSource); ok {
+			v.SyncWait.Merge(src.Stats().SyncWait)
+		}
+	}
+	v.StallReports += a.stallReports.Load()
+	v.ParkedSyncAgeNanos = max(v.ParkedSyncAgeNanos, a.parkedAge.Load())
+	v.SiblingSyncs += a.siblingSyncs() - a.sibBase
+}
+
+// violation returns the first failing oracle's report, naming its shard
+// when there is more than one.
+func (a *audit) violation() (int64, error) {
+	for i, o := range a.oracles {
+		if n, err := o.Report(); n != 0 {
+			if len(a.oracles) > 1 {
+				err = fmt.Errorf("shard %d: %w", i, err)
 			}
-		},
-		violation: func() (int64, error) {
-			if n, first := tr.TortureReport(); n != 0 {
-				return n, first
-			}
-			if o.Violations() != 0 {
-				return o.Violations(), o.FirstViolation()
-			}
-			if trips := tr.PoisonTrips(); trips != 0 {
-				return trips, fmt.Errorf("a search walked a reclaimed (poisoned) node %d time(s)", trips)
-			}
-			return 0, nil
-		},
-		close: func() {
-			stopParker()
-			rec.Close()
-		},
-	}, nil
+			return n, err
+		}
+	}
+	return 0, nil
+}
+
+// close stops the parked reader and the oracles' reclaimers.
+func (a *audit) close() {
+	if a.stopParker != nil {
+		a.stopParker()
+	}
+	for _, o := range a.oracles {
+		o.Close()
+	}
 }
 
 // startParker parks a reader, registered through o, inside its
@@ -272,9 +335,11 @@ func buildCitrusSubject(cfg Config) (*subject, error) {
 // between parks, until the returned stop is called. Registering through
 // the oracle puts its critical sections in the epoch accounting and
 // makes its handle id the one stall reports name. Just before each
-// ReadUnlock it reads dom's oldest in-flight grace period and keeps the
-// largest in age: the evidence that the park held grace periods up.
-func startParker(o *Oracle, dom *rcu.Domain, age *atomic.Int64) (stop func()) {
+// ReadUnlock it reads the shadowed domain's oldest in-flight grace
+// period and keeps the largest in age: the evidence that the park held
+// grace periods up.
+func startParker(o *Oracle, age *atomic.Int64) (stop func()) {
+	src := o.inner.(rcu.StatsSource)
 	quit := make(chan struct{})
 	done := make(chan struct{})
 	pr := o.Register()
@@ -289,7 +354,7 @@ func startParker(o *Oracle, dom *rcu.Domain, age *atomic.Int64) (stop func()) {
 				return
 			case <-time.After(stallPark):
 			}
-			if a := dom.Stats().OldestSyncAgeNanos; a > age.Load() {
+			if a := src.Stats().OldestSyncAgeNanos; a > age.Load() {
 				age.Store(a)
 			}
 			pr.ReadUnlock()
@@ -621,19 +686,15 @@ func runRound(cfg Config, v *Verdict, roundSeed uint64, slice time.Duration) {
 
 	// Quiesce: flush retirements so the oracle has seen every
 	// reclamation this round caused, then read the verdicts.
-	if s.barrier != nil {
-		s.barrier()
-	}
+	s.barrier()
 	if fn := falseNegs.Load(); fn != 0 {
 		v.fail("%d false negative(s) on permanently present keys in %d probes (the line 74 guarantee failed)", fn, permReads.Load())
 	}
 	if c := corruptions.Load(); c != 0 {
 		v.fail("%d value corruption(s): Contains returned a value that was never stored under that key", c)
 	}
-	if s.violation != nil {
-		if n, first := s.violation(); n != 0 {
-			v.fail("reclamation oracle: %d violation(s); first: %v", n, first)
-		}
+	if n, first := s.violation(); n != 0 {
+		v.fail("reclamation oracle: %d violation(s); first: %v", n, first)
 	}
 	if err := s.check(); err != nil {
 		v.fail("structural invariants: %v", err)
@@ -652,9 +713,7 @@ func runRound(cfg Config, v *Verdict, roundSeed uint64, slice time.Duration) {
 		}
 		h.Close()
 	}
-	if s.fold != nil {
-		s.fold(v)
-	}
+	s.fold(v)
 	if len(v.Failures) != 0 {
 		return
 	}

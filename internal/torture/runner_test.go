@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -12,22 +13,35 @@ import (
 
 // TestNegativeControlNoSync: Citrus over a flavor whose Synchronize
 // returns immediately must be caught — by the reclamation oracle, the
-// poison tripwire, or a false negative on a permanent key.
+// poison tripwire, or a false negative on a permanent key — and so must
+// the shipped forest with every shard on that flavor, by a failure that
+// names the shard.
 func TestNegativeControlNoSync(t *testing.T) {
-	v, err := Run(Config{
-		Seed:     1,
-		Duration: 4 * time.Second,
-		Threads:  8,
-		KeyRange: 64,
-		Flavor:   "nosync",
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		impl string
+		seed uint64
+	}{{"citrus", 1}, {"forest", 3}} {
+		t.Run(tc.impl, func(t *testing.T) {
+			v, err := Run(Config{
+				Seed:     tc.seed,
+				Duration: 4 * time.Second,
+				Threads:  8,
+				KeyRange: 64,
+				Impl:     tc.impl,
+				Flavor:   "nosync",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Passed {
+				t.Fatalf("torture passed the nosync mutant: verdict %+v", v)
+			}
+			if tc.impl == "forest" && !strings.Contains(strings.Join(v.Failures, "\n"), "shard ") {
+				t.Fatalf("no forest failure names a shard: %v", v.Failures)
+			}
+			t.Logf("nosync caught in %dms after %d ops: %v", v.ElapsedMS, v.Ops, v.Failures)
+		})
 	}
-	if v.Passed {
-		t.Fatalf("torture passed the nosync mutant: verdict %+v", v)
-	}
-	t.Logf("nosync caught in %dms after %d ops: %v", v.ElapsedMS, v.Ops, v.Failures)
 }
 
 // TestNegativeControlSnapEarly: the combining mutant that computes its
@@ -76,13 +90,14 @@ func TestNegativeControlEBREarly(t *testing.T) {
 
 // TestRealBuildSurvivesManySeeds: the correct tree on all three flavors
 // must pass under distinct injection schedules — the oracle suite has
-// no false positives. Ten seeds per the acceptance criteria.
+// no false positives. Ten seeds per the acceptance criteria; under
+// -short, seeds 1–3, one per flavor.
 func TestRealBuildSurvivesManySeeds(t *testing.T) {
-	dur := 250 * time.Millisecond
+	dur, seeds := 250*time.Millisecond, uint64(10)
 	if testing.Short() {
-		dur = 120 * time.Millisecond
+		dur, seeds = 120*time.Millisecond, 3
 	}
-	for seed := uint64(1); seed <= 10; seed++ {
+	for seed := uint64(1); seed <= seeds; seed++ {
 		flavor := "scalable"
 		switch seed % 3 {
 		case 0:
@@ -152,36 +167,45 @@ func TestSeedReproducesFailure(t *testing.T) {
 // needing grace periods — while its positive controls prove the
 // machinery actually engaged: stall reports fired, and the parked
 // reader saw its domain's oldest grace period age past the stall
-// threshold.
+// threshold. On the forest the reader parks in shard 0, and the sibling
+// shards' grace periods must keep completing.
 func TestStalledReaderScenario(t *testing.T) {
 	dur := 2 * time.Second
 	if testing.Short() {
-		dur = 800 * time.Millisecond
+		dur = 500 * time.Millisecond
 	}
-	v, err := Run(Config{
-		Seed:     1,
-		Duration: dur,
-		Threads:  8,
-		KeyRange: 64,
-		Flavor:   "stalledreader",
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, impl := range []string{"citrus", "forest"} {
+		t.Run(impl, func(t *testing.T) {
+			v, err := Run(Config{
+				Seed:     1,
+				Duration: dur,
+				Threads:  8,
+				KeyRange: 64,
+				Impl:     impl,
+				Flavor:   "stalledreader",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.Passed {
+				t.Fatalf("stalledreader scenario failed: %v (history: %v)", v.Failures, v.MinimalHistory)
+			}
+			// Run already enforces these as positive controls; assert them
+			// here too so a regression in that enforcement is itself caught.
+			if v.StallReports == 0 {
+				t.Fatal("no stall reports despite the parked reader")
+			}
+			age := time.Duration(v.ParkedSyncAgeNanos)
+			if age < stallThreshold {
+				t.Fatalf("the parked reader saw its oldest grace period at %v, below the %v stall threshold", age, stallThreshold)
+			}
+			if impl == "forest" && v.SiblingSyncs == 0 {
+				t.Fatal("no sibling-shard grace periods completed while shard 0's reader was parked")
+			}
+			t.Logf("stalledreader: %d stall reports, parked reader's age sample %v, median grace period %v, sibling syncs %d",
+				v.StallReports, age, v.SyncWait.Percentile(50), v.SiblingSyncs)
+		})
 	}
-	if !v.Passed {
-		t.Fatalf("stalledreader scenario failed: %v (history: %v)", v.Failures, v.MinimalHistory)
-	}
-	// Run already enforces these as positive controls; assert them here
-	// too so a regression in that enforcement is itself caught.
-	if v.StallReports == 0 {
-		t.Fatal("no stall reports despite the parked reader")
-	}
-	age := time.Duration(v.ParkedSyncAgeNanos)
-	if age < stallThreshold {
-		t.Fatalf("the parked reader saw its oldest grace period at %v, below the %v stall threshold", age, stallThreshold)
-	}
-	t.Logf("stalledreader: %d stall reports, parked reader's age sample %v, median grace period %v",
-		v.StallReports, age, v.SyncWait.Percentile(50))
 }
 
 // TestRegistryImplSmoke: the runner handles non-Citrus registry

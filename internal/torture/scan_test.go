@@ -11,13 +11,13 @@ import (
 // workers running batched scans) must all pass, including the in-flight
 // weak-consistency checks on every scan and the grace-period rule: the
 // median grace period stays below the stall threshold. CI runs this
-// under -race as well as without.
+// under -race as well as without. Under -short, seeds 1–3.
 func TestScanStormManySeeds(t *testing.T) {
-	dur := 300 * time.Millisecond
+	dur, seeds := 300*time.Millisecond, uint64(10)
 	if testing.Short() {
-		dur = 150 * time.Millisecond
+		dur, seeds = 150*time.Millisecond, 3
 	}
-	for seed := uint64(1); seed <= 10; seed++ {
+	for seed := uint64(1); seed <= seeds; seed++ {
 		v, err := Run(Config{
 			Seed:     seed,
 			Duration: dur,
@@ -69,11 +69,16 @@ func TestScanStormForest(t *testing.T) {
 // critical section for tens of milliseconds while churn needs grace
 // periods: the typical grace period MUST wait out a scan, and the
 // harness MUST turn that into a failing verdict by the grace-period
-// rule. Fixed seed: a regression here is a deterministic repro.
+// rule. Fixed seed: a regression here is a deterministic repro. Under
+// -short it runs for 1 s instead of 2.
 func TestNegativeControlScanHog(t *testing.T) {
+	dur := 2 * time.Second
+	if testing.Short() {
+		dur = time.Second
+	}
 	v, err := Run(Config{
 		Seed:     11,
-		Duration: 2 * time.Second,
+		Duration: dur,
 		Threads:  8,
 		KeyRange: 64,
 		Flavor:   "scanhog",

@@ -1,7 +1,6 @@
 package rcu
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -103,16 +102,6 @@ func (h *ClassicHandle) Synchronize() {
 	d.Synchronize()
 }
 
-// SynchronizeCtx bounds a grace-period wait on the handle's domain with
-// ctx; see Domain.SynchronizeCtx.
-func (h *ClassicHandle) SynchronizeCtx(ctx context.Context) error {
-	d := h.d
-	if d == nil {
-		panic("rcu: ClassicHandle used after Unregister")
-	}
-	return d.SynchronizeCtx(ctx)
-}
-
 // Unregister removes the handle from its domain. The handle must not be
 // inside a read-side critical section. Unregister is idempotent; any
 // other use of the handle afterwards panics with a descriptive message.
@@ -161,9 +150,3 @@ func (d *ClassicDomain) Synchronize() {
 		return slot != 0 && slot < newGP
 	})
 }
-
-// SynchronizeCtx waits for all pre-existing read-side critical sections
-// like Synchronize, but returns early — with an error matching both
-// ErrGracePeriodTimeout and ctx.Err() — when ctx is done first. See
-// Domain.SynchronizeCtx for the exact semantics.
-func (d *ClassicDomain) SynchronizeCtx(ctx context.Context) error { return d.synchronizeCtx(ctx, d) }

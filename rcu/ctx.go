@@ -1,25 +1,23 @@
 package rcu
 
 import (
-	"context"
 	"errors"
 	"fmt"
 )
 
-// Cancellable grace-period waiting. Synchronize is unbounded by design:
-// it returns only when every pre-existing reader has left its critical
-// section, however long that takes. SynchronizeCtx bounds the *caller's
-// wait* without weakening the property: on cancellation the caller gets
-// its goroutine back immediately, while the grace period itself keeps
-// running in the background until it genuinely completes — nothing is
-// ever reclaimed early.
+// Bounded grace-period waiting. Synchronize is unbounded by design: it
+// returns only when every pre-existing reader has left its critical
+// section, however long that takes. BeginSynchronize lets a caller bound
+// its own wait without weakening the property: the caller stops waiting
+// on the channel when its bound passes, while the grace period itself
+// keeps running in the background until it genuinely completes —
+// nothing is ever reclaimed early.
 
-// ErrGracePeriodTimeout reports that a bounded grace-period wait
-// (SynchronizeCtx, SynchronizeContext, core's DeleteCtx and
-// DeleteWithin) was abandoned because its context was cancelled or its
-// deadline expired before the grace period completed. Match it with
-// errors.Is; the returned error also matches the context's own error
-// (context.DeadlineExceeded or context.Canceled).
+// ErrGracePeriodTimeout reports that a bounded grace-period wait (core's
+// DeleteCtx and DeleteWithin) was abandoned because its context was
+// cancelled or its deadline expired before the grace period completed.
+// Match it with errors.Is; the returned error also matches the
+// context's own error (context.DeadlineExceeded or context.Canceled).
 var ErrGracePeriodTimeout = errors.New("rcu: grace period did not complete before the context was done")
 
 // gpTimeoutError carries the context cause alongside
@@ -37,25 +35,6 @@ func (e *gpTimeoutError) Unwrap() []error { return []error{ErrGracePeriodTimeout
 // errors.Is. Callers that run their own select against
 // BeginSynchronize use it to report abandonment with the standard type.
 func GracePeriodTimeout(cause error) error { return &gpTimeoutError{cause: cause} }
-
-// A ContextSynchronizer is a flavor whose grace-period wait can be
-// bounded by a context. Domain, ClassicDomain and EpochDomain implement
-// it; SynchronizeContext type-asserts against it and falls back to a
-// generic wrapper for flavors that do not.
-type ContextSynchronizer interface {
-	// SynchronizeCtx waits like Flavor.Synchronize but returns early
-	// with a non-nil error when ctx is done first. Early return
-	// abandons only the caller's wait: the grace period continues in
-	// the background, and nothing that was deferred on it runs before
-	// it truly completes.
-	SynchronizeCtx(ctx context.Context) error
-}
-
-var (
-	_ ContextSynchronizer = (*Domain)(nil)
-	_ ContextSynchronizer = (*ClassicDomain)(nil)
-	_ ContextSynchronizer = (*EpochDomain)(nil)
-)
 
 // BeginSynchronize starts one grace period on f in a background
 // goroutine and returns a channel that is closed when it completes. It
@@ -75,30 +54,4 @@ func BeginSynchronize(f Flavor) <-chan struct{} {
 		close(done)
 	}()
 	return done
-}
-
-// SynchronizeContext waits for a grace period on f, honoring ctx: it
-// returns nil once every read-side critical section that existed at the
-// call has completed, or a non-nil error — matching both
-// ErrGracePeriodTimeout and ctx.Err() under errors.Is — when ctx is
-// done first. Flavors implementing ContextSynchronizer (Domain,
-// ClassicDomain, EpochDomain) handle it natively with their own
-// accounting; any other flavor is wrapped via BeginSynchronize.
-func SynchronizeContext(ctx context.Context, f Flavor) error {
-	if ctx.Done() == nil {
-		f.Synchronize()
-		return nil
-	}
-	if cs, ok := f.(ContextSynchronizer); ok {
-		return cs.SynchronizeCtx(ctx)
-	}
-	if err := ctx.Err(); err != nil {
-		return GracePeriodTimeout(err)
-	}
-	select {
-	case <-BeginSynchronize(f):
-		return nil
-	case <-ctx.Done():
-		return GracePeriodTimeout(ctx.Err())
-	}
 }

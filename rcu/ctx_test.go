@@ -1,168 +1,9 @@
 package rcu
 
 import (
-	"context"
-	"errors"
-	"runtime"
 	"testing"
 	"time"
 )
-
-// TestSynchronizeCtxReturnsWithinDeadline pins the acceptance bound on
-// both flavors: with a reader parked in its critical section, a
-// SynchronizeCtx with a deadline returns within 2× that deadline, with
-// an error matching both ErrGracePeriodTimeout and the context's own
-// error — and the abandoned grace period still completes in the
-// background once the reader leaves, leaving the domain fully usable.
-func TestSynchronizeCtxReturnsWithinDeadline(t *testing.T) {
-	for name, d := range stallDomains() {
-		t.Run(name, func(t *testing.T) {
-			parked := d.Register()
-			defer parked.Unregister()
-			parked.ReadLock()
-
-			const deadline = 50 * time.Millisecond
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			defer cancel()
-			start := time.Now()
-			err := d.(ContextSynchronizer).SynchronizeCtx(ctx)
-			waited := time.Since(start)
-			if err == nil {
-				t.Fatal("SynchronizeCtx returned nil with a reader parked")
-			}
-			if waited > 2*deadline {
-				t.Fatalf("SynchronizeCtx returned after %v, want ≤ %v", waited, 2*deadline)
-			}
-			if !errors.Is(err, ErrGracePeriodTimeout) {
-				t.Fatalf("error %v does not match ErrGracePeriodTimeout", err)
-			}
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("error %v does not match context.DeadlineExceeded", err)
-			}
-			if got := d.Stats().SyncAbandoned; got != 1 {
-				t.Fatalf("SyncAbandoned = %d, want 1", got)
-			}
-
-			// Release the reader: the background grace period completes and
-			// an ordinary Synchronize works.
-			parked.ReadUnlock()
-			syncDone := make(chan struct{})
-			go func() {
-				d.Synchronize()
-				close(syncDone)
-			}()
-			select {
-			case <-syncDone:
-			case <-time.After(10 * time.Second):
-				t.Fatal("Synchronize after an abandoned wait did not complete")
-			}
-		})
-	}
-}
-
-// TestSynchronizeCtxNoGoroutineLeak: abandoned waits park one goroutine
-// each only until their grace period completes; none survive it.
-func TestSynchronizeCtxNoGoroutineLeak(t *testing.T) {
-	d := NewDomain()
-	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		parked := d.Register()
-		parked.ReadLock()
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		if err := d.SynchronizeCtx(ctx); err == nil {
-			t.Fatal("SynchronizeCtx returned nil with a reader parked")
-		}
-		cancel()
-		parked.ReadUnlock()
-		parked.Unregister()
-	}
-	d.Synchronize() // all background grace periods are behind this one
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines leaked across abandoned waits: %d before, %d after", before, after)
-	}
-}
-
-// TestSynchronizeCtxCompletesNormally: with no blocking readers the
-// bounded wait is just a grace period — nil error, nothing abandoned.
-func TestSynchronizeCtxCompletesNormally(t *testing.T) {
-	for name, d := range stallDomains() {
-		t.Run(name, func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := d.(ContextSynchronizer).SynchronizeCtx(ctx); err != nil {
-				t.Fatalf("SynchronizeCtx with no readers: %v", err)
-			}
-			if got := d.Stats().SyncAbandoned; got != 0 {
-				t.Fatalf("SyncAbandoned = %d after a completed wait", got)
-			}
-		})
-	}
-}
-
-// TestSynchronizeCtxBackgroundContext: a context that can never be done
-// degrades to a plain Synchronize.
-func TestSynchronizeCtxBackgroundContext(t *testing.T) {
-	d := NewDomain()
-	if err := d.SynchronizeCtx(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if d.Stats().Synchronizes == 0 {
-		t.Fatal("the degenerate path did not run a real Synchronize")
-	}
-}
-
-// TestSynchronizeCtxAlreadyCancelled: a cancelled context fails fast
-// without paying a grace period, matching context.Canceled.
-func TestSynchronizeCtxAlreadyCancelled(t *testing.T) {
-	d := NewDomain()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := d.SynchronizeCtx(ctx)
-	if !errors.Is(err, ErrGracePeriodTimeout) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled SynchronizeCtx error = %v", err)
-	}
-}
-
-// plainFlavor hides a Domain's ContextSynchronizer implementation, so
-// SynchronizeContext must take its generic BeginSynchronize fallback.
-type plainFlavor struct{ d *Domain }
-
-func (p plainFlavor) Register() Reader { return p.d.Register() }
-func (p plainFlavor) Synchronize()     { p.d.Synchronize() }
-
-// TestSynchronizeContextGenericFallback covers the package-level entry
-// point over a flavor without native context support: completion,
-// timeout, and the no-deadline degenerate path.
-func TestSynchronizeContextGenericFallback(t *testing.T) {
-	f := plainFlavor{NewDomain()}
-	if _, ok := Flavor(f).(ContextSynchronizer); ok {
-		t.Fatal("test setup: plainFlavor must not implement ContextSynchronizer")
-	}
-	if err := SynchronizeContext(context.Background(), f); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	if err := SynchronizeContext(ctx, f); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-
-	parked := f.Register()
-	defer parked.Unregister()
-	parked.ReadLock()
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel2()
-	err := SynchronizeContext(ctx2, f)
-	if !errors.Is(err, ErrGracePeriodTimeout) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("generic fallback timeout error = %v", err)
-	}
-	parked.ReadUnlock()
-}
 
 // TestBeginSynchronize: the channel closes exactly when the grace
 // period completes — not before the blocking reader leaves.
@@ -182,29 +23,5 @@ func TestBeginSynchronize(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("grace period did not complete after the reader left")
-	}
-}
-
-// TestHandleSynchronizeCtx covers the handle-level conveniences on both
-// flavors, including the use-after-Unregister panic.
-func TestHandleSynchronizeCtx(t *testing.T) {
-	for name, d := range stallDomains() {
-		t.Run(name, func(t *testing.T) {
-			h := d.Register().(interface {
-				SynchronizeCtx(ctx context.Context) error
-			})
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := h.SynchronizeCtx(ctx); err != nil {
-				t.Fatal(err)
-			}
-			h.(Reader).Unregister()
-			defer func() {
-				if recover() == nil {
-					t.Fatal("SynchronizeCtx after Unregister did not panic")
-				}
-			}()
-			h.SynchronizeCtx(ctx) //nolint:errcheck // must panic
-		})
 	}
 }

@@ -1,7 +1,6 @@
 package rcu
 
 import (
-	"context"
 	"sync/atomic"
 
 	"github.com/go-citrus/citrus/internal/schedpoint"
@@ -112,16 +111,6 @@ func (h *Handle) Synchronize() {
 	d.Synchronize()
 }
 
-// SynchronizeCtx bounds a grace-period wait on the handle's domain with
-// ctx; see Domain.SynchronizeCtx.
-func (h *Handle) SynchronizeCtx(ctx context.Context) error {
-	d := h.d
-	if d == nil {
-		panic("rcu: Handle used after Unregister")
-	}
-	return d.SynchronizeCtx(ctx)
-}
-
 // Unregister removes the handle from its domain. The handle must not be
 // inside a read-side critical section. Unregister is idempotent; any
 // other use of the handle afterwards panics with a descriptive message.
@@ -144,16 +133,6 @@ func (d *Domain) Synchronize() {
 	defer c.end()
 	d.combine(&c, d.snapEarly.Load(), func() int { return d.waitReaders(&c) })
 }
-
-// SynchronizeCtx waits for all pre-existing read-side critical sections
-// like Synchronize, but returns early — with an error matching both
-// ErrGracePeriodTimeout and ctx.Err() — when ctx is done first. The
-// abandoned grace period continues in a background goroutine (counted
-// in Stats.SyncAbandoned) and still provides its full guarantee to any
-// concurrent caller combining with it; the goroutine exits when the
-// grace period completes. A context without a deadline or cancellation
-// (ctx.Done() == nil) degrades to a plain Synchronize.
-func (d *Domain) SynchronizeCtx(ctx context.Context) error { return d.synchronizeCtx(ctx, d) }
 
 // waitReaders is Domain's grace period: snapshot every reader's word,
 // then wait out each reader the snapshot caught inside a critical

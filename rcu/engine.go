@@ -1,7 +1,6 @@
 package rcu
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -71,8 +70,7 @@ func seqDone(s, target uint64) bool { return s >= target }
 
 // readerBase is the identity every flavor's reader handle carries.
 type readerBase struct {
-	id   uint64
-	site string // registration call site; "" unless site capture was on
+	id uint64
 }
 
 // ID reports the handle's domain-unique reader id, stable for the
@@ -80,21 +78,16 @@ type readerBase struct {
 // specific readers (citrustrace.EvReaderWait).
 func (r *readerBase) ID() uint64 { return r.id }
 
-// Site reports the handle's registration call site, "" unless the
-// domain's SetSiteCapture was enabled when the handle was registered.
-func (r *readerBase) Site() string { return r.site }
-
 // A registrant is a flavor's reader handle as the engine sees it.
 type registrant interface {
 	comparable
 	ID() uint64
-	Site() string
 	active() bool // inside a read-side critical section right now
 }
 
 // engine is the grace-period machinery every flavor embeds; see the
 // comment at the top of this file. Flavors get SetTracer,
-// SetStallTimeout, SetStallHandler, SetSiteCapture, Stats and Readers
+// SetStallTimeout, SetStallHandler, ActiveStalls, Stats and Readers
 // from it. The zero value is ready to use.
 type engine[H registrant] struct {
 	regMu   sync.Mutex // serializes registry changes (copy-on-write)
@@ -126,14 +119,9 @@ type engine[H registrant] struct {
 	stats syncStats
 }
 
-// enroll draws a new reader identity: a domain-unique id and, while site
-// capture is on, the registration call site.
+// enroll draws a new reader identity: a domain-unique id.
 func (e *engine[H]) enroll() readerBase {
-	b := readerBase{id: e.nextID.Add(1)}
-	if e.stall.capture.Load() {
-		b.site = registrationSite()
-	}
-	return b
+	return readerBase{id: e.nextID.Add(1)}
 }
 
 // add publishes h in the reader registry.
@@ -246,27 +234,6 @@ func (e *engine[H]) combine(c *syncCall, early bool, waitReaders func() int) {
 		if c.span != nil {
 			c.span.GPShare(followStart, target, cur)
 		}
-	}
-}
-
-// synchronizeCtx is every flavor's SynchronizeCtx: run the full
-// Synchronize of f in a helper goroutine and release the caller on
-// whichever of completion and cancellation comes first. A caller that
-// leaves early is counted in Stats.SyncAbandoned.
-func (e *engine[H]) synchronizeCtx(ctx context.Context, f Flavor) error {
-	if ctx.Done() == nil {
-		f.Synchronize()
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return GracePeriodTimeout(err)
-	}
-	select {
-	case <-BeginSynchronize(f):
-		return nil
-	case <-ctx.Done():
-		e.stats.abandoned.Add(1)
-		return GracePeriodTimeout(ctx.Err())
 	}
 }
 
@@ -415,7 +382,7 @@ func stalled[H registrant](rs []H, from int, blocking func(i int) bool) []Stalle
 	var out []StalledReader
 	for i := from; i < len(rs); i++ {
 		if blocking(i) {
-			out = append(out, StalledReader{ID: rs[i].ID(), Site: rs[i].Site()})
+			out = append(out, StalledReader{ID: rs[i].ID()})
 		}
 	}
 	return out
@@ -454,13 +421,6 @@ func (e *engine[H]) SetStallHandler(fn func(StallReport)) {
 	}
 	e.stall.handler.Store(&fn)
 }
-
-// SetSiteCapture toggles registration-site capture: while on, Register
-// records the caller's "file:line (function)" on the handle, and stall
-// reports include it next to each blocking reader id. Costs one
-// runtime.Callers walk per Register; the read-side primitives are
-// untouched. Handles registered while capture was off report "".
-func (e *engine[H]) SetSiteCapture(on bool) { e.stall.capture.Store(on) }
 
 // ActiveStalls reports how many Synchronize calls are stalled past the
 // stall threshold right now: Stats().ActiveStalls, read with one atomic

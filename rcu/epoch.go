@@ -1,7 +1,6 @@
 package rcu
 
 import (
-	"context"
 	"sync/atomic"
 
 	"github.com/go-citrus/citrus/internal/schedpoint"
@@ -142,16 +141,6 @@ func (h *EpochHandle) Synchronize() {
 	d.Synchronize()
 }
 
-// SynchronizeCtx bounds a grace-period wait on the handle's domain with
-// ctx; see Domain.SynchronizeCtx.
-func (h *EpochHandle) SynchronizeCtx(ctx context.Context) error {
-	d := h.d
-	if d == nil {
-		panic("rcu: EpochHandle used after Unregister")
-	}
-	return d.SynchronizeCtx(ctx)
-}
-
 // Unregister removes the handle from its domain. The handle must not be
 // inside a read-side critical section. Unregister is idempotent; any
 // other use of the handle afterwards panics with a descriptive message.
@@ -178,12 +167,6 @@ func (d *EpochDomain) Synchronize() {
 	defer c.end()
 	d.combine(&c, false, func() int { return d.waitReaders(&c) })
 }
-
-// SynchronizeCtx waits for all pre-existing read-side critical sections
-// like Synchronize, but returns early — with an error matching both
-// ErrGracePeriodTimeout and ctx.Err() — when ctx is done first. See
-// Domain.SynchronizeCtx for the exact semantics.
-func (d *EpochDomain) SynchronizeCtx(ctx context.Context) error { return d.synchronizeCtx(ctx, d) }
 
 // waitReaders is EpochDomain's grace period: two epoch advances (the
 // three-epoch scheme), each waiting for every reader to be quiescent or

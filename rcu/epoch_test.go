@@ -1,8 +1,6 @@
 package rcu
 
 import (
-	"context"
-	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,26 +108,6 @@ func TestEpochNoCombining(t *testing.T) {
 	}
 	if got := d.Epoch(); got != 11 {
 		t.Fatalf("epoch = %d after 5 uncombined grace periods from 1, want 11", got)
-	}
-}
-
-// TestEpochSynchronizeCtx: a parked reader makes SynchronizeCtx time
-// out with the standard grace-period error, counted as abandoned.
-func TestEpochSynchronizeCtx(t *testing.T) {
-	d := NewEpochDomain()
-	release := parkReader(t, d)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	err := d.SynchronizeCtx(ctx)
-	if !errors.Is(err, ErrGracePeriodTimeout) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("SynchronizeCtx error = %v, want ErrGracePeriodTimeout wrapping DeadlineExceeded", err)
-	}
-	if got := d.Stats().SyncAbandoned; got != 1 {
-		t.Fatalf("SyncAbandoned = %d, want 1", got)
-	}
-	release()
-	if err := d.SynchronizeCtx(context.Background()); err != nil {
-		t.Fatalf("SynchronizeCtx with released reader = %v", err)
 	}
 }
 

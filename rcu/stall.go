@@ -2,7 +2,6 @@ package rcu
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -67,19 +66,10 @@ type StalledReader struct {
 	// ClassicHandle.ID, EpochHandle.ID), matching the reader ids in trace
 	// events.
 	ID uint64 `json:"id"`
-
-	// Site is the reader's registration call site, captured when the
-	// domain's SetSiteCapture is enabled; "" otherwise.
-	Site string `json:"site,omitempty"`
 }
 
-// String renders "id" or "id (site)".
-func (r StalledReader) String() string {
-	if r.Site == "" {
-		return fmt.Sprintf("%d", r.ID)
-	}
-	return fmt.Sprintf("%d (%s)", r.ID, r.Site)
-}
+// String renders the id.
+func (r StalledReader) String() string { return fmt.Sprintf("%d", r.ID) }
 
 // StallControl is the stall-detection configuration surface every
 // domain flavor exposes. Callers holding a flavor behind the Flavor
@@ -93,10 +83,6 @@ type StallControl interface {
 	// SetStallHandler installs the stall-report sink; see
 	// Domain.SetStallHandler.
 	SetStallHandler(fn func(StallReport))
-
-	// SetSiteCapture toggles registration-site capture; see
-	// Domain.SetSiteCapture.
-	SetSiteCapture(on bool)
 
 	// ActiveStalls reads the Stats.ActiveStalls gauge alone; see
 	// Domain.ActiveStalls.
@@ -114,32 +100,9 @@ var (
 type stallControl struct {
 	timeout atomic.Int64 // ns; 0 disables detection
 	handler atomic.Pointer[func(StallReport)]
-	capture atomic.Bool // capture registration sites on Register
 }
 
 // armed reports the configured threshold, 0 when detection is off.
 func (c *stallControl) armed() time.Duration {
 	return time.Duration(c.timeout.Load())
-}
-
-// registrationSite captures the call site that registered a reader: the
-// first frame outside this package, formatted "file:line (function)".
-// Used by SetSiteCapture (stall attribution).
-func registrationSite() string {
-	var pcs [8]uintptr
-	n := runtime.Callers(3, pcs[:])
-	frames := runtime.CallersFrames(pcs[:n])
-	for {
-		f, more := frames.Next()
-		if f.Function == "" {
-			break
-		}
-		if !strings.Contains(f.Function, "github.com/go-citrus/citrus/rcu.") {
-			return fmt.Sprintf("%s:%d (%s)", f.File, f.Line, f.Function)
-		}
-		if !more {
-			break
-		}
-	}
-	return "unknown"
 }

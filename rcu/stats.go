@@ -57,12 +57,8 @@ type Stats struct {
 	// intervals doubling. ActiveStalls is a gauge — NOT monotonic — of
 	// Synchronize calls currently stalled past the threshold; nonzero
 	// means some updater is blocked on a slow reader right now.
-	// SyncAbandoned counts SynchronizeCtx calls whose caller gave up
-	// (context done) before the grace period completed; each such grace
-	// period still ran to completion in the background.
-	Stalls        int64 `json:"stalls"`
-	ActiveStalls  int64 `json:"active_stalls"`
-	SyncAbandoned int64 `json:"sync_abandoned"`
+	Stalls       int64 `json:"stalls"`
+	ActiveStalls int64 `json:"active_stalls"`
 
 	// ActiveSyncs is a gauge of Synchronize calls currently in flight on
 	// this domain; OldestSyncAgeNanos the age, in nanoseconds, of the
@@ -136,7 +132,6 @@ func (s *Stats) Merge(other Stats) {
 	s.SyncExpedited += other.SyncExpedited
 	s.Stalls += other.Stalls
 	s.ActiveStalls += other.ActiveStalls
-	s.SyncAbandoned += other.SyncAbandoned
 	s.ActiveSyncs += other.ActiveSyncs
 	if other.OldestSyncAgeNanos > s.OldestSyncAgeNanos {
 		s.OldestSyncAgeNanos = other.OldestSyncAgeNanos
@@ -165,7 +160,6 @@ type syncStats struct {
 	// when the call finally completes.
 	stalls       atomic.Int64
 	activeStalls atomic.Int64
-	abandoned    atomic.Int64
 
 	// In-flight Synchronize registry, behind the grace-period-age gauge
 	// (Stats.ActiveSyncs / OldestSyncAgeNanos). A short mutex-guarded
@@ -283,7 +277,6 @@ func (s *syncStats) snapshot(readers int) Stats {
 		SyncExpedited:      s.outcomes[syncExpedited].Load(),
 		Stalls:             s.stalls.Load(),
 		ActiveStalls:       s.activeStalls.Load(),
-		SyncAbandoned:      s.abandoned.Load(),
 		Readers:            readers,
 		ReaderHighWater:    s.highWater.Load(),
 		SyncWait:           s.wait.Snapshot(),
