@@ -23,7 +23,8 @@ all: build vet test
 # the epoch-flavor pair: a 10-seed ebr race sweep plus the inverted
 # ebrearly negative control, and the crash-torture sweep: kill–recover–verify
 # against the WAL-backed kvserver with the inverted nofsync control
-# and the WAL recovery fuzzer). The benchmark module under perfbench/
+# and the WAL recovery fuzzer), and one pass of the snapshot recovery
+# benchmark (graft and level order). The benchmark module under perfbench/
 # is a nested module outside ./..., so it is vetted on its own: vet
 # type-checks it and its tests against the library without leaving a
 # binary behind.
@@ -46,6 +47,7 @@ ci:
 	$(MAKE) torture-scan
 	$(MAKE) torture-ebr
 	$(MAKE) torture-crash
+	$(GO) test -run '^$$' -bench BenchmarkSnapshotRecover -benchtime 1x ./internal/snapshot
 	$(MAKE) bench-scan
 
 build:
@@ -174,11 +176,14 @@ torture-crash:
 # WAL append throughput and fsync behavior across the three policies
 # (docs/DURABILITY.md "fsync policies"): the group-commit knee is the
 # figure — fsyncs/append collapses as writers stack while always pays
-# one fsync per record. Then snapshot recovery: 30 000 ascending keys
-# loaded into a tree, with the height the load built.
+# one fsync per record. Then snapshot recovery from 30 000 ascending
+# keys, with the height and allocations of what it built: kvserver's
+# graft (ReadSorted, then Forest.LoadAscending at 1 and 4 shards) and
+# the level-order Load that callers which can only insert use; and the
+# snapshot write, with its allocations.
 bench-wal:
 	$(GO) test -bench 'BenchmarkWAL' -benchmem ./internal/wal
-	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRecover' -benchmem ./internal/snapshot
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot' -benchmem ./internal/snapshot
 
 # One TCP request through kvserver's protocol handler on a one-shard
 # server holding 1e5 keys: a GET hit and miss, a SET of an existing key

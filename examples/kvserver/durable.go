@@ -144,23 +144,20 @@ func newDurableStore(f *citrus.Forest[int64, string], cfg kvConfig) (*durableSto
 		donec:    make(chan struct{}),
 	}
 
-	// Phase 1: the snapshot base image. Load verifies the whole file
-	// before the first insert and hands the pairs over in level order,
-	// so these plain inserts build a log-depth tree, or log-depth
-	// shards, out of the scan's ascending key stream.
-	h := f.NewHandle()
-	snapLSN, snapKeys, err := snapshot.Load(cfg.walDir, func(k int64, v string) error {
-		if !h.Insert(k, v) {
-			return fmt.Errorf("snapshot key %d already present", k)
-		}
-		return nil
-	})
+	// Phase 1: the snapshot base image. ReadSorted verifies the whole
+	// file and returns its pairs in ascending key order; LoadAscending
+	// builds each shard's balanced tree from its share of them and links
+	// it with one locked store, so recovery makes no search, takes no
+	// per-pair lock, and leaves each shard of n keys ⌈log2(n+1)⌉ deep.
+	snapLSN, keys, values, err := snapshot.ReadSorted(cfg.walDir)
 	if err != nil && !errors.Is(err, snapshot.ErrNoSnapshot) {
-		h.Close()
+		return nil, fmt.Errorf("loading snapshot: %w", err)
+	}
+	if err := f.LoadAscending(keys, values); err != nil {
 		return nil, fmt.Errorf("loading snapshot: %w", err)
 	}
 	d.recovery.SnapshotLSN = snapLSN
-	d.recovery.SnapshotKeys = snapKeys
+	d.recovery.SnapshotKeys = int64(len(keys))
 
 	// Phase 2: open the log (truncating a torn tail) and replay the
 	// suffix. Replayed SETs may hit keys the fuzzy snapshot already saw
@@ -168,7 +165,6 @@ func newDurableStore(f *citrus.Forest[int64, string], cfg kvConfig) (*durableSto
 	// convergence the header comment describes, not errors.
 	l, rinfo, err := wal.Open(cfg.walDir, wal.Options{Policy: pol})
 	if err != nil {
-		h.Close()
 		return nil, fmt.Errorf("opening wal: %w", err)
 	}
 	d.log = l
@@ -178,6 +174,7 @@ func newDurableStore(f *citrus.Forest[int64, string], cfg kvConfig) (*durableSto
 	if rinfo.TornBytes > 0 {
 		log.Printf("kvserver: wal %s: truncated %d torn byte(s) from %s", cfg.walDir, rinfo.TornBytes, rinfo.TornFile)
 	}
+	h := f.NewHandle()
 	err = l.Replay(wal.LSN(snapLSN), func(lsn wal.LSN, payload []byte) error {
 		op, key, value, derr := decodeRecord(payload)
 		if derr != nil {

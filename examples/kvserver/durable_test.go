@@ -14,6 +14,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/go-citrus/citrus/citrusstat/promtext"
+	"github.com/go-citrus/citrus/internal/snapshot"
 )
 
 // durableServer builds a WAL-backed server over dir, failing the test
@@ -145,6 +148,107 @@ func TestSnapshotTruncatesWAL(t *testing.T) {
 		t.Fatalf("recovered tree has height %d, want ≤ ⌈log2(%d+1)⌉ + %d = %d",
 			height, rec.SnapshotKeys, rec.RecordsReplayed, bound)
 	}
+}
+
+// TestRecoveryAccountingAndShape restarts a server from a snapshot of
+// ascending keys, at 1 and 4 shards, first with an empty WAL suffix and
+// then with one. Recovery grafts the snapshot, so the tree's counters
+// must count its keys as inserts: kvserver_keys (inserts − deletes)
+// equals the forest's key count, and the inserts are the snapshot's
+// keys plus the replayed SETs that took effect. With an empty suffix
+// every shard is exactly as high as its key count allows: each shard's
+// n keys share one bit length L, ⌈log2(n+1)⌉, and no shard of n keys is
+// lower than that, so the tallest shard at L puts every shard at L.
+func TestRecoveryAccountingAndShape(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			const n = 12000 // at 4 shards, every share is far inside [2^11, 2^12)
+			dir := t.TempDir()
+			file, keys, err := snapshot.Write(dir, 0, func(emit func(int64, string) error) error {
+				for k := int64(0); k < n; k++ {
+					if err := emit(k, fmt.Sprintf("v%d", k)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := snapshot.Publish(dir, file, 0, keys); err != nil {
+				t.Fatal(err)
+			}
+			cfg := func(c *kvConfig) { c.shards = shards; c.snapEvery = 0 }
+
+			s := durableServer(t, dir, cfg)
+			m := checkRecoveryAccounting(t, s, n, 0)
+			bitLen := map[int]bool{}
+			for _, sm := range m["citrus_tree_inserts_total"].Samples {
+				bitLen[bits.Len64(uint64(sm.Value))] = true
+			}
+			if len(bitLen) != 1 {
+				t.Fatalf("shard key counts of different bit lengths %v; the height check needs one", bitLen)
+			}
+			for l := range bitLen {
+				if h := s.forest.Height(); h != l {
+					t.Fatalf("tallest shard is %d high, want exactly %d", h, l)
+				}
+			}
+
+			// The suffix: new keys, deletes of snapshot keys (the middle
+			// one is the root, a two-child delete), a deleted key set
+			// again, and two writes that change nothing and log nothing.
+			h := s.newHandle()
+			sets := 0
+			for _, line := range []string{
+				"SET 20000 a", "SET 20001 b", "SET -1 c",
+				"DEL 6000", "DEL 0", "DEL 11999", "DEL 3001",
+				"SET 6000 again", "SET 5 exists", "DEL 99999",
+			} {
+				got, _ := s.exec(h, line)
+				if strings.HasPrefix(line, "SET") && got == "OK" {
+					sets++
+				}
+			}
+			h.Close()
+			s.close()
+
+			s2 := durableServer(t, dir, cfg)
+			defer s2.close()
+			rec := s2.durable.recovery
+			if rec.SnapshotKeys != n || rec.ReplaySets != int64(sets) || rec.ReplayDels != 4 {
+				t.Fatalf("recovery %+v, want %d snapshot keys, %d sets and 4 dels replayed", rec, n, sets)
+			}
+			checkRecoveryAccounting(t, s2, n, sets)
+			if got := s2.forest.Len(); got != n+3-4+1 {
+				t.Fatalf("recovered %d keys, want %d", got, n+3-4+1)
+			}
+		})
+	}
+}
+
+// checkRecoveryAccounting checks a recovered server's counters against
+// its forest: kvserver_keys is the forest's key count, the inserts are
+// the snapshot's keys plus the sets that took effect on replay, and
+// the forest's invariants, the routing check included, hold. It
+// returns the scrape.
+func checkRecoveryAccounting(t *testing.T, s *server, snapKeys, sets int) promtext.Metrics {
+	t.Helper()
+	m := promScrape(t, s)
+	if v, n := m["kvserver_keys"].Samples[0].Value, s.forest.Len(); v != float64(n) {
+		t.Fatalf("kvserver_keys = %v, the forest holds %d", v, n)
+	}
+	var inserts float64
+	for _, sm := range m["citrus_tree_inserts_total"].Samples {
+		inserts += sm.Value
+	}
+	if want := float64(snapKeys + sets); inserts != want {
+		t.Fatalf("citrus_tree_inserts_total sums to %v, want %v snapshot keys + %d replayed sets", inserts, snapKeys, sets)
+	}
+	if err := s.forest.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestFailedPublishKeepsWAL makes every snapshot fail at Publish (a

@@ -230,6 +230,73 @@ func (f *Forest[K, V]) NewHandle() *ForestHandle[K, V] {
 	return h
 }
 
+// LoadAscending fills an empty forest with pairs whose keys are
+// strictly ascending, values index-aligned with keys: the bulk load
+// for a forest no other goroutine writes yet, such as one recovering
+// from a snapshot. It routes the pairs to their shards stably, so each
+// shard's share stays ascending, and grafts each share as one balanced
+// tree of height ⌈log2(n+1)⌉ for its n keys, published with one locked
+// link: the paper's insert (lines 26–32) applied once, so a reader
+// sees all of a shard's share or none of it. The inserts count in
+// Stats.
+//
+// It refuses, linking nothing, keys that are not strictly ascending, a
+// length mismatch, and a forest that holds a key: every shard is
+// checked before the first is grafted. An insert racing the load can
+// still reach a shard after that check; that shard's graft is then
+// refused and the shards grafted before it keep their pairs. Empty
+// input does nothing.
+func (f *Forest[K, V]) LoadAscending(keys []K, values []V) error {
+	if len(keys) != len(values) {
+		return fmt.Errorf("citrus: LoadAscending of %d keys with %d values", len(keys), len(values))
+	}
+	if len(keys) == 0 {
+		return nil
+	}
+	for i := 1; i < len(keys); i++ {
+		if cmp.Compare(keys[i-1], keys[i]) >= 0 {
+			return fmt.Errorf("citrus: LoadAscending: key %v at index %d does not exceed %v before it", keys[i], i, keys[i-1])
+		}
+	}
+	for i := range f.shards {
+		if !f.shards[i].tree.Empty() {
+			return fmt.Errorf("citrus: LoadAscending: shard %d holds a key", i)
+		}
+	}
+	sk, sv, start := keys, values, []int{0, len(keys)}
+	if len(f.shards) > 1 {
+		sk, sv, start = f.byShard(keys, values)
+	}
+	for s := range f.shards {
+		lo, hi := start[s], start[s+1]
+		if err := f.shards[s].tree.Graft(sk[lo:hi], sv[lo:hi]); err != nil {
+			return fmt.Errorf("citrus: LoadAscending: shard %d: %w", s, err)
+		}
+	}
+	return nil
+}
+
+// byShard groups the pairs by the shard each key routes to, a counting
+// sort: shard s's share is sk[start[s]:start[s+1]], in input order.
+func (f *Forest[K, V]) byShard(keys []K, values []V) (sk []K, sv []V, start []int) {
+	route := make([]int, len(keys))
+	start = make([]int, len(f.shards)+1)
+	for i, k := range keys {
+		route[i] = f.shardFor(k)
+		start[route[i]+1]++
+	}
+	for s := range f.shards {
+		start[s+1] += start[s]
+	}
+	sk, sv = make([]K, len(keys)), make([]V, len(values))
+	next := slices.Clone(start)
+	for i, s := range route {
+		sk[next[s]], sv[next[s]] = keys[i], values[i]
+		next[s]++
+	}
+	return sk, sv, start
+}
+
 // Barrier does nothing.
 //
 // Deprecated: forest shards own no reclaimer, so there is no queue to

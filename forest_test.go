@@ -3,7 +3,10 @@ package citrus
 import (
 	"context"
 	"hash/maphash"
+	"math/bits"
 	"math/rand"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -636,5 +639,134 @@ func TestForestScanBatched(t *testing.T) {
 	h.ScanBatched(16, func(k, v int) bool { count++; return count < 9 })
 	if count != 9 {
 		t.Fatalf("early-stop batched scan emitted %d pairs, want 9", count)
+	}
+}
+
+// TestForestLoadAscending: LoadAscending routes ascending pairs to
+// their shards and grafts each shard's share as a balanced tree — each
+// shard of n keys is exactly ⌈log2(n+1)⌉ high — with every key in the
+// shard it routes to and every insert counted.
+func TestForestLoadAscending(t *testing.T) {
+	for _, shards := range []int{1, 4, 7} {
+		const n = 20000
+		keys, values := make([]int, n), make([]string, n)
+		for i := range keys {
+			keys[i], values[i] = 3*i-n, strconv.Itoa(i)
+		}
+		f := NewForest[int, string](shards)
+		if err := f.LoadAscending(keys, values); err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		if !slices.Equal(f.Keys(), keys) {
+			t.Fatalf("%d shards: the forest's keys are not the loaded keys", shards)
+		}
+		st := f.Stats()
+		if st.Total.Inserts != n {
+			t.Errorf("%d shards: Stats().Total.Inserts = %d, want %d", shards, st.Total.Inserts, n)
+		}
+		for s := range f.shards {
+			ns := st.Shards[s].Inserts
+			if h := f.shards[s].tree.Height(); h != bits.Len(uint(ns)) {
+				t.Errorf("%d shards: shard %d holds %d keys at height %d, want %d", shards, s, ns, h, bits.Len(uint(ns)))
+			}
+		}
+		h := f.NewHandle()
+		for i, k := range keys {
+			if v, ok := h.Get(k); !ok || v != values[i] {
+				t.Fatalf("%d shards: Get(%d) = (%q, %v), want (%q, true)", shards, k, v, ok, values[i])
+			}
+		}
+		h.Close()
+	}
+}
+
+// TestForestLoadAscendingRefuses: a forest holding a key — in its last
+// shard, so a load that grafted shard by shard before checking would
+// have linked the others — refuses the load and links nothing, as it
+// does keys that are not strictly ascending; empty input does nothing.
+func TestForestLoadAscendingRefuses(t *testing.T) {
+	f := NewForest[int, int](4)
+	keys, values := make([]int, 1000), make([]int, 1000)
+	for i := range keys {
+		keys[i], values[i] = i, i
+	}
+	for name, ks := range map[string][]int{"descending": {5, 4}, "repeated": {1, 1}, "unsorted": {1, 9, 5, 20}} {
+		if err := f.LoadAscending(ks, make([]int, len(ks))); err == nil {
+			t.Errorf("%s keys %v loaded, want an error", name, ks)
+		}
+	}
+	if err := f.LoadAscending(keys, values[1:]); err == nil {
+		t.Error("a length mismatch loaded, want an error")
+	}
+	if err := f.LoadAscending(nil, nil); err != nil {
+		t.Errorf("LoadAscending of nothing = %v, want nil", err)
+	}
+	if f.Len() != 0 || f.Stats().Total.Inserts != 0 {
+		t.Fatalf("refused loads changed the forest: %d keys", f.Len())
+	}
+
+	last := 2000
+	for f.shardFor(last) != f.NumShards()-1 {
+		last++
+	}
+	h := f.NewHandle()
+	defer h.Close()
+	h.Insert(last, last)
+	if err := f.LoadAscending(keys, values); err == nil {
+		t.Fatal("LoadAscending into a forest holding a key = nil, want an error")
+	}
+	if got := f.Keys(); !slices.Equal(got, []int{last}) || f.Stats().Total.Inserts != 1 {
+		t.Fatalf("a refused load changed the forest: keys %v", got)
+	}
+}
+
+// TestForestLoadAscendingRacingInsert races an insert against a load:
+// either the insert reaches its shard first and that shard's graft is
+// refused, or the insert finds its place in the grafted shard. Run it
+// under -race.
+func TestForestLoadAscendingRacingInsert(t *testing.T) {
+	const n, rounds = 4000, 100
+	keys, values := make([]int, n), make([]int, n)
+	for i := range keys {
+		keys[i], values[i] = 2*i, 2*i
+	}
+	const racer = 2001 // odd: never loaded
+	for round := 0; round < rounds; round++ {
+		f := NewForest[int, int](4)
+		start := make(chan struct{})
+		inserted := make(chan bool)
+		go func() {
+			h := f.NewHandle()
+			defer h.Close()
+			<-start
+			inserted <- h.Insert(racer, racer)
+		}()
+		close(start)
+		err := f.LoadAscending(keys, values)
+		if !<-inserted {
+			t.Fatal("the racing insert found its key present")
+		}
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		h := f.NewHandle()
+		if !h.Contains(racer) {
+			t.Fatal("the racing insert's key is gone")
+		}
+		// The racer's shard holds either its share or the racer alone.
+		s := f.shardFor(racer)
+		shareLoaded := f.shards[s].tree.Len() > 1
+		if shareLoaded == (err != nil) {
+			t.Fatalf("LoadAscending = %v, but the racer's shard holds %d keys", err, f.shards[s].tree.Len())
+		}
+		for _, k := range keys {
+			if f.shardFor(k) == s && h.Contains(k) != shareLoaded {
+				t.Fatalf("key %d of the racer's shard: Contains = %v, want %v", k, !shareLoaded, shareLoaded)
+			}
+		}
+		h.Close()
 	}
 }

@@ -25,18 +25,19 @@
 // count) is replaced the same way, so a crash at any point leaves either
 // the old or the new snapshot installed — never a half-written one.
 //
-// Load decides the shape of the recovered tree. The scan writes keys in
-// ascending order, and Citrus is an unbalanced BST: inserting that
-// stream as read builds a list in quadratic time. Load therefore
-// verifies the whole file first, sorts the pairs, and hands them to its
-// caller in level order of the balanced tree over them — the median,
-// then the medians of both halves, and so on — so a plain insert
-// callback builds a tree of logarithmic height.
+// ReadSorted reads and verifies a snapshot and returns its pairs in
+// ascending key order. Citrus is an unbalanced BST, and the scan writes
+// keys in ascending order, so inserting that stream as read would build
+// a list in quadratic time. A caller that can build a balanced tree from
+// sorted pairs directly does so (kvserver grafts them into its forest
+// with citrus.Forest.LoadAscending); Load serves a caller that can only
+// insert, handing the pairs over in level order of the balanced tree
+// over them — the median, then the medians of both halves, and so on —
+// so plain inserts build a tree of logarithmic height.
 package snapshot
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -46,6 +47,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strings"
 )
 
@@ -63,9 +65,9 @@ const (
 	// maxValueBytes bounds the value-length field on load; anything
 	// larger is treated as corruption, not an allocation request.
 	maxValueBytes = 1 << 24
-	// ioBufferSize is the bufio buffer Write and Load stream through,
-	// so a snapshot costs one syscall per 64 KiB rather than two per
-	// pair.
+	// ioBufferSize is the bufio buffer Write and ReadSorted stream
+	// through, so a snapshot costs one syscall per 64 KiB rather than
+	// two per pair.
 	ioBufferSize = 64 << 10
 )
 
@@ -90,6 +92,18 @@ type crcWriter struct {
 
 func (c *crcWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
+	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	return n, err
+}
+
+// crcReader mirrors everything read through it into a running CRC32C.
+type crcReader struct {
+	r   io.Reader
+	crc uint32
+}
+
+func (c *crcReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
 	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
 	return n, err
 }
@@ -122,25 +136,28 @@ func Write(dir string, lsn uint64, scan func(emit func(key int64, value string) 
 		}
 	}()
 
-	bw := bufio.NewWriterSize(f, ioBufferSize)
-	cw := &crcWriter{w: bw}
+	// The CRC sits under the buffer, so it sees each 64 KiB flush once.
+	// Every record's header reuses one array and its value is copied
+	// straight into the buffer, so Write allocates nothing per record.
+	cw := &crcWriter{w: f}
+	bw := bufio.NewWriterSize(cw, ioBufferSize)
 	var hdr [headerSize]byte
 	copy(hdr[0:8], magic)
 	binary.LittleEndian.PutUint32(hdr[8:12], version)
 	binary.LittleEndian.PutUint64(hdr[12:20], lsn)
-	if _, err = cw.Write(hdr[:]); err != nil {
+	if _, err = bw.Write(hdr[:]); err != nil {
 		return "", 0, err
 	}
 	var count int64
+	var rec [recordSize]byte
 	emit := func(key int64, value string) error {
-		var rec [recordSize]byte
 		rec[0] = tagRecord
 		binary.LittleEndian.PutUint64(rec[1:9], uint64(key))
 		binary.LittleEndian.PutUint32(rec[9:13], uint32(len(value)))
-		if _, werr := cw.Write(rec[:]); werr != nil {
+		if _, werr := bw.Write(rec[:]); werr != nil {
 			return werr
 		}
-		if _, werr := io.WriteString(cw, value); werr != nil {
+		if _, werr := bw.WriteString(value); werr != nil {
 			return werr
 		}
 		count++
@@ -152,15 +169,16 @@ func Write(dir string, lsn uint64, scan func(emit func(key int64, value string) 
 	var end [9]byte
 	end[0] = tagEnd
 	binary.LittleEndian.PutUint64(end[1:9], uint64(count))
-	if _, err = cw.Write(end[:]); err != nil {
+	if _, err = bw.Write(end[:]); err != nil {
+		return "", 0, err
+	}
+	// Flush first: the CRC covers every byte before it.
+	if err = bw.Flush(); err != nil {
 		return "", 0, err
 	}
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], cw.crc)
-	if _, err = bw.Write(crc[:]); err != nil {
-		return "", 0, err
-	}
-	if err = bw.Flush(); err != nil {
+	if _, err = f.Write(crc[:]); err != nil {
 		return "", 0, err
 	}
 	if err = f.Sync(); err != nil {
@@ -222,13 +240,9 @@ func Publish(dir, file string, lsn uint64, keys int64) error {
 // snapshot returns a loud error — silently starting empty would turn a
 // disk fault into data loss.
 //
-// The whole file is verified before the first apply: header, tags and
-// lengths, the trailer's record count and CRC, the manifest's LSN and
-// key count, and that no key repeats. On any error apply has not been
-// called, so the caller's structure is untouched. The pairs are held
-// in one transient slice, sized once from the manifest's key count
-// after checking that the file is long enough to hold that many
-// records.
+// Load is ReadSorted plus an apply order, so the whole file is
+// verified before the first apply: on any error apply has not been
+// called, and the caller's structure is untouched.
 //
 // apply sees the pairs in level order of the balanced BST over their
 // keys: the median first, then the medians of both halves, left to
@@ -241,132 +255,178 @@ func Publish(dir, file string, lsn uint64, keys int64) error {
 // share of a pre-order built trees hundreds to thousands of nodes
 // deep, and its share of a level order about 35.
 func Load(dir string, apply func(key int64, value string) error) (lsn uint64, keys int64, err error) {
-	mdata, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if os.IsNotExist(err) {
-		return 0, 0, ErrNoSnapshot
-	}
+	lsn, ks, vs, err := ReadSorted(dir)
 	if err != nil {
 		return 0, 0, err
 	}
+	if err := levelOrder(len(ks), func(i int) error { return apply(ks[i], vs[i]) }); err != nil {
+		return 0, 0, err
+	}
+	return lsn, int64(len(ks)), nil
+}
+
+// ReadSorted reads the installed snapshot and returns its stamped LSN
+// and its pairs in ascending key order, values index-aligned with keys.
+// A missing manifest returns ErrNoSnapshot; an unreadable or corrupt
+// snapshot returns a loud error and no pairs.
+//
+// It verifies the whole file before it returns a pair: header, tags
+// and lengths, the trailer's record count and CRC, that nothing follows
+// the trailer, the manifest's LSN and key count, and that no key
+// repeats. The manifest's key count sizes the two result slices once,
+// after checking that the file is long enough to hold that many
+// records. The file streams through a 64 KiB buffer, so past those
+// slices the only allocations that grow with the file are the value
+// strings.
+func ReadSorted(dir string) (lsn uint64, keys []int64, values []string, err error) {
+	mdata, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if os.IsNotExist(err) {
+		return 0, nil, nil, ErrNoSnapshot
+	}
+	if err != nil {
+		return 0, nil, nil, err
+	}
 	var m Manifest
 	if err := json.Unmarshal(mdata, &m); err != nil {
-		return 0, 0, fmt.Errorf("snapshot: corrupt manifest: %w", err)
+		return 0, nil, nil, fmt.Errorf("snapshot: corrupt manifest: %w", err)
 	}
 	f, err := os.Open(filepath.Join(dir, m.File))
 	if err != nil {
-		return 0, 0, fmt.Errorf("snapshot: manifest names %s: %w", m.File, err)
+		return 0, nil, nil, fmt.Errorf("snapshot: manifest names %s: %w", m.File, err)
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return 0, 0, fmt.Errorf("snapshot: %s: %w", m.File, err)
+		return 0, nil, nil, fmt.Errorf("snapshot: %s: %w", m.File, err)
 	}
-	recs, err := readVerified(bufio.NewReaderSize(f, ioBufferSize), st.Size(), m)
+	keys, values, err = readVerified(f, st.Size(), m)
 	if err != nil {
-		return 0, 0, fmt.Errorf("snapshot: %s: %w", m.File, err)
+		return 0, nil, nil, fmt.Errorf("snapshot: %s: %w", m.File, err)
 	}
-	err = levelOrder(len(recs), func(i int) error { return apply(recs[i].key, recs[i].value) })
-	if err != nil {
-		return 0, 0, err
-	}
-	return m.LSN, int64(len(recs)), nil
-}
-
-// pair is one snapshot record held between verification and apply.
-type pair struct {
-	key   int64
-	value string
+	return m.LSN, keys, values, nil
 }
 
 // readVerified reads a whole snapshot file of the given size and checks
-// it against its manifest, returning the pairs sorted by key. Every
-// check Load promises happens here, before any pair leaves.
-func readVerified(r io.Reader, size int64, m Manifest) ([]pair, error) {
-	crc := uint32(0)
+// it against its manifest, returning its pairs sorted by key. Every
+// check ReadSorted promises happens here, before any pair leaves.
+func readVerified(f io.ReaderAt, size int64, m Manifest) (keys []int64, values []string, err error) {
+	// The stored CRC covers every byte before its own four. The CRC
+	// sits under the buffer, over exactly those bytes, so it sees each
+	// 64 KiB read once.
+	cr := &crcReader{r: io.NewSectionReader(f, 0, max(size-4, 0))}
+	r := bufio.NewReaderSize(cr, ioBufferSize)
 	off := int64(0)
 	read := func(p []byte) error {
 		n, err := io.ReadFull(r, p)
-		crc = crc32.Update(crc, castagnoli, p[:n])
 		off += int64(n)
 		return err
 	}
-	var hdr [headerSize]byte
-	if err := read(hdr[:]); err != nil {
-		return nil, fmt.Errorf("short header: %w", err)
+	// The header, each record's fixed part and the trailer are read into
+	// buf, and each value into value. Both are reused, so a record
+	// allocates only its value string.
+	var buf [headerSize]byte
+	var value []byte
+	hdr := buf[:]
+	if err := read(hdr); err != nil {
+		return nil, nil, fmt.Errorf("short header: %w", err)
 	}
 	if string(hdr[0:8]) != magic {
-		return nil, errors.New("bad magic")
+		return nil, nil, errors.New("bad magic")
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != version {
-		return nil, fmt.Errorf("unsupported version %d", v)
+		return nil, nil, fmt.Errorf("unsupported version %d", v)
 	}
 	if lsn := binary.LittleEndian.Uint64(hdr[12:20]); lsn != m.LSN {
-		return nil, fmt.Errorf("LSN %d does not match manifest %d", lsn, m.LSN)
+		return nil, nil, fmt.Errorf("LSN %d does not match manifest %d", lsn, m.LSN)
 	}
 	// Every record takes at least recordSize bytes, so the file's size
 	// bounds how many it can hold; the manifest's count must fit within
-	// that bound before it sizes the buffer.
+	// that bound before it sizes the slices.
 	if room := (size - headerSize - trailerSize) / recordSize; m.Keys < 0 || m.Keys > room {
-		return nil, fmt.Errorf("manifest says %d keys, the %d-byte file holds at most %d", m.Keys, size, max(room, 0))
+		return nil, nil, fmt.Errorf("manifest says %d keys, the %d-byte file holds at most %d", m.Keys, size, max(room, 0))
 	}
-	recs := make([]pair, 0, m.Keys)
-	var value []byte
+	keys = make([]int64, 0, m.Keys)
+	values = make([]string, 0, m.Keys)
+	rec := buf[:recordSize]
 	for {
-		var tag [1]byte
-		if err := read(tag[:]); err != nil {
-			return nil, fmt.Errorf("truncated at record %d: %w", len(recs), err)
+		if err := read(rec[:1]); err != nil {
+			return nil, nil, fmt.Errorf("truncated at record %d: %w", len(keys), err)
 		}
-		if tag[0] == tagEnd {
+		if rec[0] == tagEnd {
 			break
 		}
-		if tag[0] != tagRecord {
-			return nil, fmt.Errorf("bad tag %#x at record %d", tag[0], len(recs))
+		if rec[0] != tagRecord {
+			return nil, nil, fmt.Errorf("bad tag %#x at record %d", rec[0], len(keys))
 		}
-		if len(recs) == cap(recs) {
-			return nil, fmt.Errorf("more records than the manifest's %d keys", m.Keys)
+		if len(keys) == cap(keys) {
+			return nil, nil, fmt.Errorf("more records than the manifest's %d keys", m.Keys)
 		}
-		var rec [recordSize - 1]byte
-		if err := read(rec[:]); err != nil {
-			return nil, fmt.Errorf("truncated record %d: %w", len(recs), err)
+		if err := read(rec[1:]); err != nil {
+			return nil, nil, fmt.Errorf("truncated record %d: %w", len(keys), err)
 		}
-		key := int64(binary.LittleEndian.Uint64(rec[0:8]))
-		vlen := binary.LittleEndian.Uint32(rec[8:12])
+		key := int64(binary.LittleEndian.Uint64(rec[1:9]))
+		vlen := binary.LittleEndian.Uint32(rec[9:13])
 		if vlen > maxValueBytes || int64(vlen) > size-off-trailerSize {
-			return nil, fmt.Errorf("implausible value length %d at record %d", vlen, len(recs))
+			return nil, nil, fmt.Errorf("implausible value length %d at record %d", vlen, len(keys))
 		}
 		if cap(value) < int(vlen) {
 			value = make([]byte, vlen)
 		}
 		value = value[:vlen]
 		if err := read(value); err != nil {
-			return nil, fmt.Errorf("truncated value at record %d: %w", len(recs), err)
+			return nil, nil, fmt.Errorf("truncated value at record %d: %w", len(keys), err)
 		}
-		recs = append(recs, pair{key, string(value)})
+		keys = append(keys, key)
+		values = append(values, string(value))
 	}
-	var count [8]byte
-	if err := read(count[:]); err != nil {
-		return nil, fmt.Errorf("truncated trailer: %w", err)
+	count := buf[:8]
+	if err := read(count); err != nil {
+		return nil, nil, fmt.Errorf("truncated trailer: %w", err)
 	}
-	var stored [4]byte // the CRC, over everything before it
-	if _, err := io.ReadFull(r, stored[:]); err != nil {
-		return nil, fmt.Errorf("truncated trailer: %w", err)
+	if n := int64(binary.LittleEndian.Uint64(count)); n != int64(len(keys)) {
+		return nil, nil, fmt.Errorf("trailer says %d records, read %d", n, len(keys))
 	}
-	if n := int64(binary.LittleEndian.Uint64(count[:])); n != int64(len(recs)) {
-		return nil, fmt.Errorf("trailer says %d records, read %d", n, len(recs))
+	// The trailer's count must end the CRC's bytes; reaching their end
+	// has also run all of them through the CRC.
+	if _, err := r.ReadByte(); err != io.EOF {
+		if err != nil {
+			return nil, nil, err
+		}
+		return nil, nil, errors.New("bytes after the trailer")
 	}
-	if got := binary.LittleEndian.Uint32(stored[:]); got != crc {
-		return nil, fmt.Errorf("CRC mismatch (stored %08x, computed %08x)", got, crc)
+	stored := buf[:4]
+	if _, err := f.ReadAt(stored, size-4); err != nil {
+		return nil, nil, fmt.Errorf("truncated trailer: %w", err)
 	}
-	if int64(len(recs)) != m.Keys {
-		return nil, fmt.Errorf("holds %d records, manifest says %d", len(recs), m.Keys)
+	if got := binary.LittleEndian.Uint32(stored); got != cr.crc {
+		return nil, nil, fmt.Errorf("CRC mismatch (stored %08x, computed %08x)", got, cr.crc)
 	}
-	slices.SortFunc(recs, func(a, b pair) int { return cmp.Compare(a.key, b.key) })
-	for i := 1; i < len(recs); i++ {
-		if recs[i].key == recs[i-1].key {
-			return nil, fmt.Errorf("key %d appears twice", recs[i].key)
+	if int64(len(keys)) != m.Keys {
+		return nil, nil, fmt.Errorf("holds %d records, manifest says %d", len(keys), m.Keys)
+	}
+	// The scan writes keys ascending, so the sort is almost never needed.
+	if !slices.IsSorted(keys) {
+		sort.Sort(byKey{keys, values})
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return nil, nil, fmt.Errorf("key %d appears twice", keys[i])
 		}
 	}
-	return recs, nil
+	return keys, values, nil
+}
+
+// byKey sorts index-aligned key and value slices by key.
+type byKey struct {
+	keys   []int64
+	values []string
+}
+
+func (p byKey) Len() int           { return len(p.keys) }
+func (p byKey) Less(i, j int) bool { return p.keys[i] < p.keys[j] }
+func (p byKey) Swap(i, j int) {
+	p.keys[i], p.keys[j] = p.keys[j], p.keys[i]
+	p.values[i], p.values[j] = p.values[j], p.values[i]
 }
 
 // levelOrder calls visit(i) for each i in [0, n) in level order of the

@@ -1,12 +1,16 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -72,6 +76,181 @@ func TestWritePublishLoadRoundTrip(t *testing.T) {
 			t.Fatalf("key %d: %q, want %q", k, got[k], v)
 		}
 	}
+}
+
+// TestWriteFormat writes a fixed list of pairs, in the order given, and
+// compares the file byte for byte with the format the package comment
+// documents, built here field by field. One value is longer than the
+// 64 KiB write buffer, so the CRC spans several flushes.
+func TestWriteFormat(t *testing.T) {
+	const lsn = 0x0102030405060708
+	pairs := []struct {
+		key   int64
+		value string
+	}{{7, "seven"}, {-2, ""}, {1 << 40, strings.Repeat("x", 70000)}, {3, "é"}}
+	dir := t.TempDir()
+	file, n, err := Write(dir, lsn, func(emit func(int64, string) error) error {
+		for _, p := range pairs {
+			if err := emit(p.key, p.value); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if file != "snap-0102030405060708.snap" || n != int64(len(pairs)) {
+		t.Fatalf("Write = (%q, %d), want (snap-0102030405060708.snap, %d)", file, n, len(pairs))
+	}
+	le := binary.LittleEndian
+	want := []byte("CITRSNAP")
+	want = le.AppendUint32(want, 1)
+	want = le.AppendUint64(want, lsn)
+	for _, p := range pairs {
+		want = append(want, 0x01)
+		want = le.AppendUint64(want, uint64(p.key))
+		want = le.AppendUint32(want, uint32(len(p.value)))
+		want = append(want, p.value...)
+	}
+	want = append(want, 0x00)
+	want = le.AppendUint64(want, uint64(len(pairs)))
+	want = le.AppendUint32(want, crc32.Checksum(want, crc32.MakeTable(crc32.Castagnoli)))
+	got, err := os.ReadFile(filepath.Join(dir, file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < min(len(got), len(want)) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("file is %d bytes, format gives %d; first difference at byte %d", len(got), len(want), i)
+	}
+}
+
+// TestWriteAllocsPerRecord: Write allocates the same for 10 000
+// records as for 10 — nothing per record.
+func TestWriteAllocsPerRecord(t *testing.T) {
+	dir := t.TempDir()
+	allocs := func(n int64) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, _, err := Write(dir, 1, func(emit func(int64, string) error) error {
+				for k := int64(0); k < n; k++ {
+					if err := emit(k, "value"); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(10), allocs(10000)
+	t.Logf("Write allocations: %v for 10 records, %v for 10 000", few, many)
+	if many != few {
+		t.Fatalf("Write made %v allocations for 10 000 records and %v for 10", many, few)
+	}
+}
+
+// TestReadSortedSortsAndRejects: ReadSorted returns the pairs of a file
+// written in any order ascending, values aligned, and refuses what Load
+// refuses — with no pairs.
+func TestReadSortedSortsAndRejects(t *testing.T) {
+	dir := t.TempDir()
+	pairs := map[int64]string{}
+	for i := int64(0); i < 500; i++ {
+		pairs[(i*7919)%1000-300] = fmt.Sprintf("v%d", i)
+	}
+	file := writeAndPublish(t, dir, 9, pairs) // map order: unsorted
+	lsn, keys, values, err := ReadSorted(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn != 9 || len(keys) != len(pairs) || len(values) != len(keys) {
+		t.Fatalf("ReadSorted = lsn %d, %d keys, %d values; want 9, %d, %d", lsn, len(keys), len(values), len(pairs), len(pairs))
+	}
+	if !slices.IsSorted(keys) {
+		t.Fatal("keys are not ascending")
+	}
+	for i, k := range keys {
+		if values[i] != pairs[k] {
+			t.Fatalf("key %d: value %q, want %q", k, values[i], pairs[k])
+		}
+	}
+
+	if _, keys, _, err := ReadSorted(t.TempDir()); !errors.Is(err, ErrNoSnapshot) || keys != nil {
+		t.Fatalf("ReadSorted of an empty dir = (%v, %v), want ErrNoSnapshot and no keys", keys, err)
+	}
+	path := filepath.Join(dir, file)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, data := range map[string][]byte{
+		"a byte after the trailer": append(slices.Clone(orig), 0),
+		"a truncated trailer":      orig[:len(orig)-1],
+		"a flipped value bit":      flipAt(orig, headerSize+recordSize),
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, keys, values, err := ReadSorted(dir); err == nil || keys != nil || values != nil {
+			t.Fatalf("%s: ReadSorted = (%d keys, %d values, %v), want an error and no pairs", what, len(keys), len(values), err)
+		}
+	}
+}
+
+// TestReadSortedStreams: ReadSorted streams the file rather than
+// holding a copy of it. Past the value bytes it returns, it allocates a
+// bounded amount however large the values are, and past one string per
+// record a fixed number of objects however many records there are.
+func TestReadSortedStreams(t *testing.T) {
+	snapshot := func(n, vlen int) string {
+		dir := t.TempDir()
+		pairs := map[int64]string{}
+		for k := range n {
+			pairs[int64(k)] = strings.Repeat("v", vlen)
+		}
+		writeAndPublish(t, dir, 1, pairs)
+		return dir
+	}
+	readSorted := func(dir string, n int) {
+		if _, keys, _, err := ReadSorted(dir); err != nil || len(keys) != n {
+			t.Fatalf("ReadSorted = %d keys, %v; want %d", len(keys), err, n)
+		}
+	}
+
+	// 16 values of 256 KiB: a 4 MiB file. A copy of it would double
+	// the bytes allocated; the stream adds its 64 KiB buffer and one
+	// value-sized buffer it reuses.
+	const big, bigLen = 16, 256 << 10
+	dir := snapshot(big, bigLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	readSorted(dir, big)
+	runtime.ReadMemStats(&after)
+	if values, bytes := uint64(big*bigLen), after.TotalAlloc-before.TotalAlloc; bytes > values+1<<20 {
+		t.Errorf("ReadSorted of %d B of values allocated %d B, want at most 1 MiB more", values, bytes)
+	}
+
+	objects := func(n int) float64 {
+		dir := snapshot(n, 8)
+		return testing.AllocsPerRun(5, func() { readSorted(dir, n) })
+	}
+	few, many := objects(10), objects(10000)
+	perRecord := (many - few) / (10000 - 10)
+	t.Logf("ReadSorted: %v objects for 10 records, %v for 10 000 (%.3f per record)", few, many, perRecord)
+	if perRecord > 1.01 {
+		t.Errorf("ReadSorted made %.3f objects per record, want one: its value string", perRecord)
+	}
+}
+
+func flipAt(data []byte, off int) []byte {
+	data = slices.Clone(data)
+	data[off] ^= 0x01
+	return data
 }
 
 func TestLoadMissingManifest(t *testing.T) {

@@ -1,6 +1,8 @@
 package torture
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/go-citrus/citrus/internal/core"
@@ -166,5 +168,64 @@ func TestOracleEndToEndRealDomainClean(t *testing.T) {
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
+	}
+}
+
+// TestOracleGraftedTreeDeletes: a tree grafted whole on the oracle
+// (core.Tree.Graft) takes deletes — two-child ones among them, whose
+// grace periods readers hold open — with no reclamation violation, no
+// poison trip and no miss of a key that stays.
+func TestOracleGraftedTreeDeletes(t *testing.T) {
+	o := NewOracle(rcu.NewDomain())
+	defer o.Close()
+	tr := core.NewTree[int, int](o)
+	const n = 1023
+	keys, values := make([]int, n), make([]int, n)
+	for i := range keys {
+		keys[i], values[i] = i, i
+	}
+	if err := tr.Graft(keys, values); err != nil {
+		t.Fatal(err)
+	}
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := tr.NewHandle()
+			defer h.Close()
+			for i := 0; !done.Load(); i = (i + 2) % (n + 1) {
+				if _, ok := h.Contains(i); !ok { // even keys, the leaves, stay
+					t.Errorf("Contains(%d) missed a key that stays", i)
+					return
+				}
+			}
+		}()
+	}
+	h := tr.NewHandle()
+	for i := 0; i < n; i++ {
+		if k := i * 37 % n; k%2 == 1 && !h.Delete(k) {
+			t.Errorf("Delete(%d) = false", k)
+		}
+	}
+	h.Close()
+	done.Store(true)
+	wg.Wait()
+	o.Barrier()
+
+	if v, first := o.Report(); v != 0 {
+		t.Fatalf("a grafted tree's deletes failed the oracle: %d (%v)", v, first)
+	}
+	st := tr.Stats()
+	if o.Checks() == 0 || st.TwoChildDeletes == 0 {
+		t.Fatalf("%d reclamations checked, %d two-child deletes; the test exercised nothing", o.Checks(), st.TwoChildDeletes)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Len(); got != n/2+1 || st.Inserts-st.Deletes != n/2+1 {
+		t.Fatalf("%d keys left (inserts − deletes = %d), want %d", got, st.Inserts-st.Deletes, n/2+1)
 	}
 }
