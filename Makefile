@@ -6,8 +6,9 @@ GO ?= go
 
 all: build vet test
 
-# What CI runs (see .github/workflows/ci.yml): build, vet, full test
-# suite, the race detector over the packages with the most
+# What CI runs (see .github/workflows/ci.yml): build, vet, a gofmt
+# check that fails when `gofmt -l .` lists any file, full test suite,
+# the race detector over the packages with the most
 # concurrency-sensitive invariants (including the citrustrace rings and
 # the public tracing toggles), 100 race iterations of the forest stats
 # fold (the test that deadlocked when forest shards reused retired
@@ -31,6 +32,7 @@ all: build vet test
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt would reformat:"; echo "$$out"; exit 1; fi
 	cd perfbench && $(GO) vet ./...
 	$(GO) test -timeout 300s ./...
 	$(GO) test -race ./rcu/... ./internal/core/... ./citrustrace/... ./internal/schedpoint/... ./internal/torture/...

@@ -16,14 +16,12 @@
 package citrus_test
 
 import (
-	"math/rand"
 	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	citrus "github.com/go-citrus/citrus"
 	"github.com/go-citrus/citrus/internal/harness"
 	"github.com/go-citrus/citrus/internal/impls"
 	"github.com/go-citrus/citrus/internal/workload"
@@ -284,72 +282,6 @@ func BenchmarkAblationSkew(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 		})
 	}
-}
-
-// oneShardSink keeps BenchmarkForestOneShard's reads observable.
-var oneShardSink int
-
-// BenchmarkForestOneShard prices routing through a one-shard Forest
-// against the Tree it replaces in kvserver, both built the same way
-// (one scalable domain) over the same 30k keys in the same random
-// order, so the two hold identical tree shapes. Get pays the forest's seeded hash; RangeScanLimit(100) and
-// ScanBatched pass the shard's stream straight through, so with
-// -benchmem their B/op and allocs/op must equal the Tree's.
-func BenchmarkForestOneShard(b *testing.B) {
-	const n = 30000
-	tree := citrus.New[int64, string]()
-	forest := citrus.NewForest[int64, string](1)
-	th, fh := tree.NewHandle(), forest.NewHandle()
-	defer th.Close()
-	defer fh.Close()
-	for _, k := range rand.New(rand.NewSource(1)).Perm(n) {
-		th.Insert(int64(k), "v")
-		fh.Insert(int64(k), "v")
-	}
-	emit := func(int64, string) bool { oneShardSink++; return true }
-
-	b.Run("Get/Tree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := th.Get(int64(i % n)); ok {
-				oneShardSink++
-			}
-		}
-	})
-	b.Run("Get/Forest", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := fh.Get(int64(i % n)); ok {
-				oneShardSink++
-			}
-		}
-	})
-	b.Run("RangeScanLimit100/Tree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			lo := int64(i % (n - 100))
-			th.RangeScanLimit(lo, lo+1000, 100, emit)
-		}
-	})
-	b.Run("RangeScanLimit100/Forest", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			lo := int64(i % (n - 100))
-			fh.RangeScanLimit(lo, lo+1000, 100, emit)
-		}
-	})
-	b.Run("ScanBatched/Tree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			th.ScanBatched(512, emit)
-		}
-	})
-	b.Run("ScanBatched/Forest", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fh.ScanBatched(512, emit)
-		}
-	})
 }
 
 // BenchmarkContainsScaling pins down the wait-free read path of each

@@ -24,7 +24,7 @@ func TestTreeStatsEndToEnd(t *testing.T) {
 	h.Get(1)
 	h.Delete(2) // two children → one inline grace period
 
-	s := tree.Stats()
+	s := tree.Stats().Total
 	if s.Inserts != 3 || s.Deletes != 1 || s.Contains != 1 {
 		t.Fatalf("unexpected counters: %+v", s)
 	}
@@ -99,7 +99,7 @@ func TestStatsConcurrentWithWorkload(t *testing.T) {
 	var prevOps int64
 	deadline := time.Now().Add(100 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		s := tree.Stats()
+		s := tree.Stats().Total
 		ops := s.Contains + s.Inserts + s.InsertExisting + s.Deletes + s.DeleteMisses
 		if ops < prevOps {
 			t.Fatalf("total ops went backwards: %d < %d", ops, prevOps)
@@ -109,7 +109,7 @@ func TestStatsConcurrentWithWorkload(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	s := tree.Stats()
+	s := tree.Stats().Total
 	if int64(tree.Len()) != s.Inserts-s.Deletes {
 		t.Fatalf("Len()=%d, Inserts-Deletes=%d", tree.Len(), s.Inserts-s.Deletes)
 	}

@@ -91,7 +91,7 @@ func TestSharedDomainAcrossTrees(t *testing.T) {
 	}
 }
 
-func ExampleTree() {
+func ExampleNew() {
 	tree := citrus.New[int, string]()
 	h := tree.NewHandle()
 	defer h.Close()

@@ -15,15 +15,15 @@ import (
 // tree's own counters.
 func TestEnableTracingEndToEnd(t *testing.T) {
 	tree := New[int, string]()
-	if rec := tree.TraceRecorder(); rec != nil {
+	if rec := tree.TraceRecorder(0); rec != nil {
 		t.Fatal("tracing enabled by default")
 	}
 	if tr := tree.DumpTrace(); len(tr.Events) != 0 || len(tr.Rings) != 0 {
 		t.Fatal("DumpTrace with tracing disabled should be empty")
 	}
 
-	rec := tree.EnableTracing()
-	if tree.TraceRecorder() != rec {
+	rec := tree.EnableTracing()[0]
+	if tree.TraceRecorder(0) != rec {
 		t.Fatal("TraceRecorder does not report the recorder EnableTracing returned")
 	}
 
@@ -49,7 +49,7 @@ func TestEnableTracingEndToEnd(t *testing.T) {
 	for _, ev := range tr.Events {
 		counts[ev.Type]++
 	}
-	st := tree.Stats()
+	st := tree.Stats().Total
 	// The default ring (4096 slots) comfortably holds this workload, so
 	// event counts must match the counters exactly.
 	if got := counts[citrustrace.EvInsert]; int64(got) != st.Inserts {
@@ -75,7 +75,7 @@ func TestEnableTracingEndToEnd(t *testing.T) {
 	}
 
 	tree.DisableTracing()
-	if tree.TraceRecorder() != nil {
+	if tree.TraceRecorder(0) != nil {
 		t.Fatal("TraceRecorder non-nil after DisableTracing")
 	}
 	// The recorder outlives detachment: a final snapshot still works.

@@ -2,7 +2,7 @@
 // Citrus reproduction: a lock-free power-of-two latency histogram used
 // both by the benchmark harness (per-operation latency) and by the
 // library's runtime observability layer (grace-period waits, see
-// rcu.Stats and the Stats methods on citrus.Tree).
+// rcu.Stats and citrus.Forest.Stats).
 //
 // Everything here is safe for concurrent use and deliberately cheap to
 // record into: one uncontended-atomic add per sample, no locks, no

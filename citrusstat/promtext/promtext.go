@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -277,13 +276,4 @@ func validLabelName(s string) bool {
 		}
 	}
 	return true
-}
-
-// SortedLabels returns a copy of labels sorted by name — handy for
-// callers that want deterministic label blocks regardless of map
-// iteration order.
-func SortedLabels(labels []Label) []Label {
-	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

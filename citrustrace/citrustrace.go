@@ -1,7 +1,7 @@
 // Package citrustrace is the event-tracing layer of the Citrus
 // reproduction: a low-overhead flight recorder that captures *causality*
-// where the stats layer (package citrusstat, rcu.Stats, citrus.Tree
-// Stats) captures *counts*.
+// where the stats layer (package citrusstat, rcu.Stats,
+// citrus.Forest.Stats) captures *counts*.
 //
 // Events are typed, fixed-size records — operation spans, per-node lock
 // waits, validation retries, synchronize_rcu spans with a per-reader
@@ -21,7 +21,7 @@
 // (chrome://tracing, Perfetto; see WriteChromeTrace).
 //
 // The package is dependency-free and usable on its own; the Citrus stack
-// wires it through citrus.Tree.EnableTracing, rcu.Domain.SetTracer and
+// wires it through citrus.Forest.EnableTracing, rcu.Domain.SetTracer and
 // internal/core.Tree.SetTracer, all gated behind a single
 // atomic-pointer nil check so that disabled tracing costs one
 // predictable branch on the hot paths and allocates nothing.

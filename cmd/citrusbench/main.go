@@ -418,7 +418,7 @@ func runCombiningAblation(workerCounts []int, duration time.Duration, keyRangeSc
 
 // runStats exercises Citrus once per thread count and prints the
 // library's own observability counters — the same numbers a production
-// service reads from Tree.Stats()/Domain.Stats() at runtime — rather
+// service reads from Forest.Stats()/Domain.Stats() at runtime — rather
 // than harness-side instrumentation.
 func runStats(workerCounts []int, duration time.Duration, keyRangeScale int, csv *os.File, rep *report) error {
 	fmt.Println("== Final stats: native Tree/Domain observability (50% contains, key range [0,2e5]) ==")

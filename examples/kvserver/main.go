@@ -16,7 +16,7 @@
 //	SCAN <lo> <hi> <n>  → KEY <key> <value> per pair with lo ≤ key < hi,
 //	                      ascending, at most n (capped at 1000), then
 //	                      END <count>; weakly consistent (see below)
-//	LEN                 → LEN <n>        (quiescent use only)
+//	LEN                 → LEN <n>        (exact while no update runs)
 //	QUIT                → BYE
 //
 // Verbs are case-insensitive. A request ends at "\n" or "\r\n", and
@@ -858,7 +858,7 @@ func (s *server) execVerb(dst []byte, h storeHandle, verb string, fields []strin
 		})
 		return strconv.AppendInt(append(page, "END "...), int64(count), 10), false
 	case "LEN":
-		return strconv.AppendInt(append(dst, "LEN "...), int64(s.forest.Len()), 10), false
+		return strconv.AppendInt(append(dst, "LEN "...), residentKeys(s.forest.Stats()), 10), false
 	case "QUIT":
 		return append(dst, "BYE"...), true
 	default:

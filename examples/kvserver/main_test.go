@@ -241,7 +241,7 @@ func TestGracefulDegradation(t *testing.T) {
 	s.exec(h, "SET 3 three")
 
 	// Park a reader inside its read-side critical section.
-	pr := s.forest.Domain(0).Register()
+	pr := s.forest.Flavor(0).Register()
 	defer pr.Unregister()
 	pr.ReadLock()
 	parked := true
@@ -515,7 +515,7 @@ func TestShardedDegradationAggregates(t *testing.T) {
 	s.exec(h, "SET 1 one")
 
 	// Park a reader in shard 3 and stall a grace period behind it.
-	pr := f.Domain(3).Register()
+	pr := f.Flavor(3).Register()
 	defer pr.Unregister()
 	pr.ReadLock()
 	parked := true
@@ -527,7 +527,7 @@ func TestShardedDegradationAggregates(t *testing.T) {
 	syncDone := make(chan struct{})
 	go func() {
 		defer close(syncDone)
-		f.Domain(3).Synchronize() // blocks until the reader unparks
+		f.Flavor(3).Synchronize() // blocks until the reader unparks
 	}()
 
 	// The stall detector fires; the aggregated probe degrades /healthz.
@@ -553,7 +553,7 @@ func TestShardedDegradationAggregates(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			f.Domain(i).Synchronize()
+			f.Flavor(i).Synchronize()
 		}()
 		select {
 		case <-done:

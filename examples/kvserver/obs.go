@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	citrus "github.com/go-citrus/citrus"
 	"github.com/go-citrus/citrus/citrusstat"
 	"github.com/go-citrus/citrus/citrusstat/promtext"
 )
@@ -86,6 +87,18 @@ func (l *reqLatencies) series() []struct {
 	}
 }
 
+// residentKeys is the store's key count as both kvserver_keys and the
+// TCP LEN report it: Inserts − Deletes summed over the shards, exact
+// while no update is running, read from counters without the
+// read-side walk Forest.Len would take.
+func residentKeys(fs citrus.ForestStats) int64 {
+	var n int64
+	for _, t := range fs.Shards {
+		n += t.Inserts - t.Deletes
+	}
+	return n
+}
+
 // servePromMetrics renders the server's one metrics surface in the
 // Prometheus text exposition format (0.0.4) at /metrics.prom:
 //
@@ -103,12 +116,6 @@ func (l *reqLatencies) series() []struct {
 func (s *server) servePromMetrics(w http.ResponseWriter, r *http.Request) {
 	e := promtext.NewEncoder()
 	fs := s.forest.Stats()
-	// Inserts − Deletes per shard is the resident key count, exact while
-	// no update is running, without the full walk Len would take.
-	var keys int64
-	for _, t := range fs.Shards {
-		keys += t.Inserts - t.Deletes
-	}
 
 	// Server-level series.
 	e.Counter("kvserver_ops_total", "Requests handled across both faces.", float64(s.ops.Load()))
@@ -116,7 +123,7 @@ func (s *server) servePromMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Counter("kvserver_shed_writes_total", "Writes rejected while degraded (TCP BUSY or HTTP 503).", float64(s.shedWrites.Load()))
 	e.Counter("kvserver_gp_timeouts_total", "Deletes whose grace-period wait hit the per-op deadline.", float64(s.gpTimeouts.Load()))
 	e.Counter("kvserver_stall_reports_total", "RCU stall-detector reports fired.", float64(s.stallReports.Load()))
-	e.Gauge("kvserver_keys", "Keys resident in the store.", float64(keys))
+	e.Gauge("kvserver_keys", "Keys resident in the store.", float64(residentKeys(fs)))
 	e.Gauge("kvserver_shards", "Configured shard count.", float64(s.cfg.shards))
 	// Info-metric idiom: constant 1 carrying the configured RCU flavor
 	// as a label, so dashboards comparing flavors can join on it.

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -154,6 +155,29 @@ func TestScrapeDoesNotWalkStore(t *testing.T) {
 	}
 }
 
+// TestLenReadsCounters pins that a TCP LEN, like a scrape, reads
+// counters only: on a 10^4-key server it opens no read-side section,
+// emits no scan pair, and answers what kvserver_keys exports.
+func TestLenReadsCounters(t *testing.T) {
+	s, h := newTestServer()
+	defer h.Close()
+	const n = 10000
+	for _, k := range rand.New(rand.NewSource(1)).Perm(n) {
+		s.exec(h, fmt.Sprintf("SET %d v", k))
+	}
+	before := promScrape(t, s)
+	got, _ := s.exec(h, "LEN")
+	after := promScrape(t, s)
+	for _, name := range []string{"citrus_tree_scan_sections_total", "citrus_tree_scan_pairs_total"} {
+		if a, b := before[name].Samples[0].Value, after[name].Samples[0].Value; a != b {
+			t.Errorf("LEN moved %s from %v to %v", name, a, b)
+		}
+	}
+	if keys := after["kvserver_keys"].Samples[0].Value; got != fmt.Sprintf("LEN %d", n) || keys != n {
+		t.Fatalf("LEN = %q and kvserver_keys = %v, want both %d", got, keys, n)
+	}
+}
+
 // TestPromMetricsUnderBackpressure induces degradation (a reader
 // parked in one shard's critical section with a grace period stalled
 // behind it), sheds writes on both faces, and checks the promoted
@@ -172,7 +196,7 @@ func TestPromMetricsUnderBackpressure(t *testing.T) {
 
 	s.exec(h, "SET 1 one")
 
-	pr := f.Domain(5).Register()
+	pr := f.Flavor(5).Register()
 	defer pr.Unregister()
 	pr.ReadLock()
 	parked := true
@@ -184,7 +208,7 @@ func TestPromMetricsUnderBackpressure(t *testing.T) {
 	syncDone := make(chan struct{})
 	go func() {
 		defer close(syncDone)
-		f.Domain(5).Synchronize()
+		f.Flavor(5).Synchronize()
 	}()
 
 	// Wait for the stall detector to flip the server degraded.

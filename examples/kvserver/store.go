@@ -30,16 +30,6 @@ func newRCUFlavor(name string) (func() rcu.Flavor, error) {
 	}
 }
 
-// flavorStats reads a flavor's grace-period statistics, or a zero
-// Stats for a flavor that cannot report them (none of the built-in
-// three; the assertion is belt-and-braces for future flavors).
-func flavorStats(f rcu.Flavor) rcu.Stats {
-	if src, ok := f.(rcu.StatsSource); ok {
-		return src.Stats()
-	}
-	return rcu.Stats{}
-}
-
 // armStallDetector applies the shared stall-detector config to one
 // shard's flavor, if the flavor supports it.
 func armStallDetector(f rcu.Flavor, cfg kvConfig, shard int, onStall func(shard int, r rcu.StallReport)) {

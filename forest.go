@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"time"
 
@@ -15,10 +14,11 @@ import (
 )
 
 // A Forest is a sharded dictionary: the key space is partitioned across
-// N independent Citrus trees, each with its own RCU domain, behind the
-// same per-goroutine-handle API as Tree. A shard is a tree plus its RCU
-// flavor and nothing else: unlinked nodes are left to the garbage
-// collector, so a forest owns no goroutine and needs no Close.
+// N independent Citrus trees, each with its own RCU domain, accessed
+// through per-goroutine handles. A shard is a tree plus its RCU flavor
+// and nothing else: unlinked nodes are left to the garbage collector, so
+// a forest owns no goroutine and needs no Close. A one-shard forest
+// (New, NewWithFlavor) is the paper's single tree.
 //
 // Why shard: a single Citrus tree shares one RCU domain among all its
 // readers, so one slow or stalled reader delays every two-child delete's
@@ -28,28 +28,25 @@ import (
 // stalled reader parks its own shard while the siblings' updates keep
 // completing. It also multiplies the update-side lock space.
 //
-// Routing is by seeded hash (internal shared seed by default): the same
-// key always reaches the same shard for the forest's lifetime, and two
-// forests built with the same seed and shard count agree on placement.
-// Keys are NOT ordered across shards, so a Forest is an unordered
-// dictionary: Get/Insert/Delete/DeleteCtx keep their Tree semantics and
-// per-key linearizability, but the ordered iteration helpers (Keys,
-// Range) traverse shard by shard and are quiescent-use only, like Tree's.
+// Routing is by a hash seeded once per process: the same key always
+// reaches the same shard, and two forests with the same shard count
+// agree on placement. Keys are NOT ordered across shards: scans and the
+// iteration helpers (Keys, Range) sort what the shards emit into
+// ascending global key order.
 //
 // Cross-shard consistency: none is promised beyond per-key
 // linearizability. Two operations on keys in different shards are
-// synchronized by nothing — exactly the guarantee a single Tree gives
+// synchronized by nothing — exactly the guarantee a single tree gives
 // two operations on different keys, so most dictionary users lose
-// nothing. What a Forest additionally does NOT give is a single RCU
-// domain spanning all keys: a reader's critical section covers one
+// nothing. What a sharded Forest additionally does NOT give is a single
+// RCU domain spanning all keys: a reader's critical section covers one
 // shard, so no multi-key read can be made atomic by piggybacking on one
-// read-side section (a single Tree doesn't promise that either — §1,
+// read-side section (a single tree doesn't promise that either — §1,
 // Figure 1 of the paper — but with a shared domain one could build it;
-// with a Forest one cannot).
+// across shards one cannot).
 type Forest[K cmp.Ordered, V any] struct {
 	shards []forestShard[K, V]
-	part   func(K) int
-	seed   maphash.Seed
+	router partition.Router[K]
 }
 
 // forestShard is one partition: a core tree and its private RCU flavor
@@ -63,27 +60,7 @@ type forestShard[K cmp.Ordered, V any] struct {
 type ForestOption[K cmp.Ordered] func(*forestConfig[K])
 
 type forestConfig[K cmp.Ordered] struct {
-	seed   maphash.Seed
-	part   func(K) int
 	flavor func() rcu.Flavor
-}
-
-// WithForestSeed sets the routing seed. Forests (and rhash maps, and
-// anything else built on package-internal seeded partitioning) sharing
-// a seed and shard count route every key identically — useful for
-// migrating between instances or comparing placements. The default is
-// the process-wide shared seed, so two default forests already agree.
-func WithForestSeed[K cmp.Ordered](seed maphash.Seed) ForestOption[K] {
-	return func(c *forestConfig[K]) { c.seed = seed }
-}
-
-// WithPartition replaces hash routing with a user-supplied partition
-// function. fn must be pure (the same key must always yield the same
-// value — routing a key to two shards over time would make it appear
-// and disappear) and must return a value in [0, shards); out-of-range
-// values panic at the operation that routes the key.
-func WithPartition[K cmp.Ordered](fn func(key K) int) ForestOption[K] {
-	return func(c *forestConfig[K]) { c.part = fn }
 }
 
 // WithShardReclaimerOptions configures nothing.
@@ -97,7 +74,8 @@ func WithShardReclaimerOptions[K cmp.Ordered](opts ...rcu.ReclaimerOption) Fores
 // WithShardFlavor replaces the default scalable rcu.Domain with a
 // caller-chosen RCU flavor: newFlavor is called once per shard, so each
 // shard still owns a private grace-period domain (the isolation the
-// forest exists for). Flavors implementing the optional surfaces —
+// forest exists for) unless it returns one flavor every time, as
+// NewWithFlavor's does. Flavors implementing the optional surfaces —
 // rcu.Traceable, rcu.StatsSource, rcu.StallControl — keep the forest's
 // tracing, stats folding and stall wiring working; all three shipped
 // flavors (Domain, ClassicDomain, EpochDomain) implement all of them.
@@ -112,27 +90,16 @@ func NewForest[K cmp.Ordered, V any](shards int, opts ...ForestOption[K]) *Fores
 	if shards < 1 {
 		panic("citrus: NewForest needs at least 1 shard")
 	}
-	cfg := forestConfig[K]{seed: partition.SharedSeed()}
+	cfg := forestConfig[K]{flavor: func() rcu.Flavor { return rcu.NewDomain() }}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	f := &Forest[K, V]{
 		shards: make([]forestShard[K, V], shards),
-		seed:   cfg.seed,
-	}
-	if cfg.part != nil {
-		f.part = cfg.part
-	} else {
-		router := partition.NewRouter[K](cfg.seed, shards)
-		f.part = router.Partition
+		router: partition.NewRouter[K](partition.SharedSeed(), shards),
 	}
 	for i := range f.shards {
-		var dom rcu.Flavor
-		if cfg.flavor != nil {
-			dom = cfg.flavor()
-		} else {
-			dom = rcu.NewDomain()
-		}
+		dom := cfg.flavor()
 		f.shards[i] = forestShard[K, V]{tree: core.NewTree[K, V](dom), dom: dom}
 	}
 	return f
@@ -141,27 +108,13 @@ func NewForest[K cmp.Ordered, V any](shards int, opts ...ForestOption[K]) *Fores
 // NumShards reports the number of partitions.
 func (f *Forest[K, V]) NumShards() int { return len(f.shards) }
 
-// shardFor routes a key, bounds-checking user partition functions.
-func (f *Forest[K, V]) shardFor(key K) int {
-	s := f.part(key)
-	if s < 0 || s >= len(f.shards) {
-		panic(fmt.Sprintf("citrus: partition function routed key outside [0,%d): %d", len(f.shards), s))
-	}
-	return s
-}
-
-// Domain returns shard i's RCU domain when the shard runs the default
-// scalable flavor, nil when WithShardFlavor installed something else.
-// Flavor-generic callers (stall wiring, stats) should use Flavor and
-// type-assert the optional surface they need.
-func (f *Forest[K, V]) Domain(i int) *rcu.Domain {
-	d, _ := f.shards[i].dom.(*rcu.Domain)
-	return d
-}
+// shardFor routes a key to its shard.
+func (f *Forest[K, V]) shardFor(key K) int { return f.router.Partition(key) }
 
 // Flavor returns shard i's RCU flavor, whatever its concrete type: the
-// seam for wiring stall handlers (rcu.StallControl), tracing
-// (rcu.Traceable) or stats (rcu.StatsSource) per shard.
+// seam for parking readers and running grace periods on one shard, and
+// for wiring stall handlers (rcu.StallControl), tracing (rcu.Traceable)
+// or stats (rcu.StatsSource) per shard.
 func (f *Forest[K, V]) Flavor(i int) rcu.Flavor { return f.shards[i].dom }
 
 // EnableTracing attaches one fresh flight recorder per shard and
@@ -170,7 +123,15 @@ func (f *Forest[K, V]) Flavor(i int) rcu.Flavor { return f.shards[i].dom }
 // the rings stay shard-local and lock-free, no cross-shard
 // coordination on the record path. DumpTrace folds the recorders into
 // one shard-tagged trace; use TraceRecorder(i) to inspect one shard.
-// Calling EnableTracing again replaces every shard's recorder.
+// Calling EnableTracing again replaces every shard's recorder. See
+// package citrustrace for the event taxonomy and the ring-buffer
+// overwrite semantics.
+//
+// Tracing is designed to be cheap but is not free while enabled (about
+// two timestamp reads and a ring write per operation); when disabled —
+// the default — the hot paths pay one predictable branch and allocate
+// nothing. If a flavor is shared between trees, its grace-period events
+// go to the most recently attached recorder.
 func (f *Forest[K, V]) EnableTracing(opts ...citrustrace.Option) []*citrustrace.Recorder {
 	recs := make([]*citrustrace.Recorder, len(f.shards))
 	for i := range f.shards {
@@ -220,8 +181,9 @@ func (f *Forest[K, V]) DumpTrace() citrustrace.Trace {
 }
 
 // NewHandle registers the calling goroutine with every shard's RCU
-// domain and returns the worker's access point. Like Tree handles, a
-// ForestHandle is not safe for concurrent use: one per goroutine.
+// domain and returns the worker's access point. A ForestHandle is not
+// safe for concurrent use: one per goroutine, closed when the goroutine
+// is done with the forest.
 func (f *Forest[K, V]) NewHandle() *ForestHandle[K, V] {
 	h := &ForestHandle[K, V]{f: f, hs: make([]*core.Handle[K, V], len(f.shards))}
 	for i := range f.shards {
@@ -309,8 +271,8 @@ func (f *Forest[K, V]) Barrier() {}
 // stop.
 func (f *Forest[K, V]) Close() {}
 
-// Len reports the total number of keys across all shards. Quiescent use
-// only, like Tree.Len.
+// Len reports the total number of keys across all shards. It walks
+// every shard. Quiescent use only.
 func (f *Forest[K, V]) Len() int {
 	n := 0
 	for i := range f.shards {
@@ -319,8 +281,8 @@ func (f *Forest[K, V]) Len() int {
 	return n
 }
 
-// Height reports the height of the tallest shard. Quiescent use only,
-// like Tree.Height.
+// Height reports the height of the tallest (unbalanced) shard.
+// Quiescent use only.
 func (f *Forest[K, V]) Height() int {
 	h := 0
 	for i := range f.shards {
@@ -329,33 +291,19 @@ func (f *Forest[K, V]) Height() int {
 	return h
 }
 
-// Keys returns all keys in ascending global order; a full-range scan
-// through the handle scan path. Quiescent use only.
-func (f *Forest[K, V]) Keys() []K {
+// Range calls fn for every pair in ascending global key order until fn
+// returns false: a Scan through a temporary handle. Quiescent use only.
+func (f *Forest[K, V]) Range(fn func(key K, value V) bool) {
 	h := f.NewHandle()
 	defer h.Close()
-	var ks []K
-	h.Scan(func(k K, _ V) bool { ks = append(ks, k); return true })
-	return ks
+	h.Scan(fn)
 }
 
-// Range calls fn for every pair until fn returns false, shard by shard
-// in ascending key order within each shard — NOT global key order.
-// Quiescent use only.
-func (f *Forest[K, V]) Range(fn func(key K, value V) bool) {
-	for i := range f.shards {
-		stopped := false
-		f.shards[i].tree.Range(func(k K, v V) bool {
-			if !fn(k, v) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
-			return
-		}
-	}
+// Keys returns all keys in ascending global order. Quiescent use only.
+func (f *Forest[K, V]) Keys() []K {
+	var ks []K
+	f.Range(func(k K, _ V) bool { ks = append(ks, k); return true })
+	return ks
 }
 
 // CheckInvariants verifies every shard's structural invariants and that
@@ -382,7 +330,8 @@ func (f *Forest[K, V]) CheckInvariants() error {
 }
 
 // ForestStats is a point-in-time snapshot of a forest: the fold of
-// every shard's counters plus the per-shard breakdown.
+// every shard's counters plus the per-shard breakdown. A one-shard
+// forest's Total is its tree's counters.
 type ForestStats struct {
 	// Total folds all shards: operation counters are sums, and
 	// Total.RCU merges every shard domain's grace-period accounting
@@ -397,33 +346,22 @@ type ForestStats struct {
 	Shards []Stats `json:"shards"`
 }
 
-// Stats snapshots every shard and folds the totals. Safe to call at any
+// Stats snapshots every shard's operation counters and RCU
+// grace-period statistics and folds the totals. Safe to call at any
 // time, from any goroutine, concurrently with operations and handle
-// churn; the folded Total keeps Tree.Stats's monotonicity (shard
+// churn; recording costs the operations themselves two uncontended
+// plain atomic accesses, so the wait-free read side keeps its
+// paper-guaranteed shape. Every count in Total is monotonic, but shard
 // snapshots are taken one at a time, so Total is not an atomic
 // cross-shard cut — consistent with the forest's no-cross-shard-
-// consistency contract).
+// consistency contract.
 func (f *Forest[K, V]) Stats() ForestStats {
 	fs := ForestStats{Shards: make([]Stats, len(f.shards))}
 	totalRCU := &rcu.Stats{}
 	for i := range f.shards {
-		s := f.shards[i].tree.Stats()
-		sh := Stats{
-			Contains:        s.Contains,
-			Inserts:         s.Inserts,
-			InsertExisting:  s.InsertExisting,
-			InsertRetries:   s.InsertRetries,
-			Deletes:         s.Deletes,
-			DeleteMisses:    s.DeleteMisses,
-			DeleteRetries:   s.DeleteRetries,
-			TwoChildDeletes: s.TwoChildDeletes,
-			DeleteTimeouts:  s.DeleteTimeouts,
-			Scans:           s.Scans,
-			ScanSections:    s.ScanSections,
-			ScanPairs:       s.ScanPairs,
-			ScanNodes:       s.ScanNodes,
-			RCU:             s.RCU,
-		}
+		// Stats mirrors core.Stats field for field, so the conversion
+		// stops compiling the day the two drift apart.
+		sh := Stats(f.shards[i].tree.Stats())
 		fs.Shards[i] = sh
 
 		fs.Total.Contains += sh.Contains
@@ -452,14 +390,15 @@ func (f *Forest[K, V]) Stats() ForestStats {
 }
 
 // A ForestHandle is one goroutine's access point to a Forest: one
-// registered Tree handle per shard, with operations routed by key.
+// registered tree handle per shard, with operations routed by key.
 type ForestHandle[K cmp.Ordered, V any] struct {
 	f  *Forest[K, V]
 	hs []*core.Handle[K, V]
 }
 
-// Get returns the value stored under key, if any. Wait-free, inside the
-// owning shard's read-side critical section.
+// Get returns the value stored under key, if any. It is wait-free: no
+// locks, no retries, running inside the owning shard's read-side
+// critical section concurrently with any updates.
 func (h *ForestHandle[K, V]) Get(key K) (V, bool) {
 	return h.hs[h.f.shardFor(key)].Contains(key)
 }
@@ -482,9 +421,16 @@ func (h *ForestHandle[K, V]) Delete(key K) bool {
 	return h.hs[h.f.shardFor(key)].Delete(key)
 }
 
-// DeleteCtx removes key like Delete with the wait bounded by ctx; see
-// Handle.DeleteCtx for the exact semantics. The grace period waited on
-// is the owning shard's only.
+// DeleteCtx removes key like Delete, but bounds the caller's wait with
+// ctx: a two-child delete's inline grace-period wait (the paper's line
+// 74) is abandoned when ctx is done first, returning (true, err) with
+// err matching both rcu.ErrGracePeriodTimeout and ctx.Err() under
+// errors.Is. The delete has taken effect in that case — the key is
+// gone — and the remaining unlink of the old successor completes on a
+// background goroutine once the grace period elapses (counted in
+// Stats.DeleteTimeouts). A ctx already done, or done between retries,
+// returns (false, ctx.Err()) with the forest unchanged by this call.
+// The grace period waited on is the owning shard's only.
 func (h *ForestHandle[K, V]) DeleteCtx(ctx context.Context, key K) (bool, error) {
 	return h.hs[h.f.shardFor(key)].DeleteCtx(ctx, key)
 }
@@ -506,14 +452,15 @@ func (h *ForestHandle[K, V]) DeleteWithin(key K, d time.Duration) (bool, error) 
 }
 
 // RangeScan calls fn for each pair with lo ≤ key < hi in ascending
-// GLOBAL key order, stopping early when fn returns false. Shards are
-// hash-partitioned, so no global order exists in the structure; the
-// scan collects each shard's in-range pairs (each shard scanned inside
-// its own read-side critical section, weakly consistent like
-// Handle.RangeScan), sorts the union, and emits — O(result) memory and
-// the sort's O(r log r) time. A one-shard forest streams instead, like
-// Handle.RangeScan. Cross-shard consistency is exactly the forest's
-// usual none: each shard's slice reflects a different instant.
+// GLOBAL key order, stopping early when fn returns false. Each shard is
+// scanned inside its own read-side critical section, weakly consistent
+// (see the package comment); fn must not block indefinitely or call
+// back into the forest. Shards are hash-partitioned, so no global order
+// exists in the structure: with more than one shard the scan collects
+// each shard's in-range pairs, sorts the union, and emits — O(result)
+// memory and the sort's O(r log r) time. A one-shard forest streams.
+// Cross-shard consistency is exactly the forest's usual none: each
+// shard's slice reflects a different instant.
 func (h *ForestHandle[K, V]) RangeScan(lo, hi K, fn func(key K, value V) bool) {
 	if len(h.hs) == 1 {
 		h.hs[0].RangeScan(lo, hi, fn)
@@ -544,6 +491,22 @@ func (h *ForestHandle[K, V]) RangeScanLimit(lo, hi K, limit int, fn func(key K, 
 	}, func(sh *core.Handle[K, V], emit func(K, V) bool) { rangeScanLimit(sh, lo, hi, limit, emit) })
 }
 
+// rangeScanLimit streams h's in-range pairs to fn, stopping after the
+// limit-th.
+func rangeScanLimit[K cmp.Ordered, V any](h *core.Handle[K, V], lo, hi K, limit int, fn func(key K, value V) bool) {
+	if limit <= 0 {
+		return
+	}
+	n := 0
+	h.RangeScan(lo, hi, func(k K, v V) bool {
+		if !fn(k, v) {
+			return false
+		}
+		n++
+		return n < limit
+	})
+}
+
 // Scan calls fn for every pair in ascending global key order, stopping
 // early when fn returns false. With more than one shard it collects
 // every shard's pairs before emitting — O(n) memory; see RangeScan.
@@ -555,16 +518,16 @@ func (h *ForestHandle[K, V]) Scan(fn func(key K, value V) bool) {
 	h.merge(fn, (*core.Handle[K, V]).Scan)
 }
 
-// ScanBatched is Scan with bounded reader dwell: each shard is
-// traversed with Handle.ScanBatched semantics — the shard's read-side
+// ScanBatched is Scan with bounded reader dwell: each shard's read-side
 // critical section is dropped and re-entered every batch pairs, so a
 // long scan (a fuzzy snapshot of the whole forest, say) never parks a
-// shard's grace periods for its full duration. Memory and ordering
-// match Scan: with more than one shard every shard's pairs are
-// collected, sorted, and emitted in ascending global key order. The
-// consistency is Scan's weak contract, further loosened per shard by
-// the batching (keys updated between a shard's batches may be seen in
-// neither or either state); see Handle.ScanBatched.
+// shard's grace periods for its full duration. Each batch re-descends
+// from the shard's root by key. Memory and ordering match Scan: with
+// more than one shard every shard's pairs are collected, sorted, and
+// emitted in ascending global key order. The consistency is Scan's weak
+// contract, further loosened per shard by the batching: a key relocated
+// by a two-child delete between batches can be missed once even if
+// present throughout. batch < 1 means unbatched (identical to Scan).
 func (h *ForestHandle[K, V]) ScanBatched(batch int, fn func(key K, value V) bool) {
 	if len(h.hs) == 1 {
 		h.hs[0].ScanBatched(batch, fn)
@@ -594,8 +557,9 @@ func (h *ForestHandle[K, V]) merge(fn func(K, V) bool, scan func(sh *core.Handle
 	}
 }
 
-// Close unregisters the handle from every shard. Idempotent; operations
-// after Close panic like Tree handle operations do.
+// Close unregisters the handle from every shard. Close is idempotent;
+// any operation on the handle after Close panics with "citrus: Handle
+// used after Close".
 func (h *ForestHandle[K, V]) Close() {
 	for _, sh := range h.hs {
 		sh.Close()

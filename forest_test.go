@@ -2,7 +2,6 @@ package citrus
 
 import (
 	"context"
-	"hash/maphash"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -111,56 +110,25 @@ func TestForestSequentialOracle(t *testing.T) {
 	}
 }
 
-// Two forests with the same seed and shard count must agree on routing —
-// the property the shared partition seed exists for. A custom partition
-// function must be honored exactly.
+// Two forests with the same shard count must agree on routing — the
+// property the process-wide partition seed exists for — and a key
+// inserted through one lands in the shard the other names.
 func TestForestRoutingStable(t *testing.T) {
-	seed := maphash.MakeSeed()
-	a := NewForest[string, int](4, WithForestSeed[string](seed))
-	b := NewForest[string, int](4, WithForestSeed[string](seed))
-	keys := []string{"", "a", "forest", "shard", "grace", "period", "citrus", "rcu"}
-	for _, k := range keys {
-		if sa, sb := a.shardFor(k), b.shardFor(k); sa != sb {
-			t.Fatalf("same-seed forests disagree on %q: shard %d vs %d", k, sa, sb)
-		}
-	}
-
-	// Default-seeded forests agree too (process-wide shared seed).
-	c := NewForest[string, int](4)
-	d := NewForest[string, int](4)
-	for _, k := range keys {
-		if sc, sd := c.shardFor(k), d.shardFor(k); sc != sd {
-			t.Fatalf("default forests disagree on %q: shard %d vs %d", k, sc, sd)
-		}
-	}
-
-	e := NewForest[int, int](3, WithPartition[int](func(k int) int { return k % 3 }))
-	h := e.NewHandle()
+	a, b := NewForest[string, int](4), NewForest[string, int](4)
+	h := a.NewHandle()
 	defer h.Close()
-	for k := 0; k < 30; k++ {
-		h.Insert(k, k)
-	}
-	fs := e.Stats()
-	for i, s := range fs.Shards {
-		if s.Inserts != 10 {
-			t.Fatalf("shard %d holds %d keys under k%%3 partition, want 10", i, s.Inserts)
+	for _, k := range []string{"", "a", "forest", "shard", "grace", "period", "citrus", "rcu"} {
+		if sa, sb := a.shardFor(k), b.shardFor(k); sa != sb {
+			t.Fatalf("forests disagree on %q: shard %d vs %d", k, sa, sb)
+		}
+		h.Insert(k, 0)
+		if got := a.Stats().Shards[b.shardFor(k)].Inserts; got == 0 {
+			t.Fatalf("%q is not in shard %d, where the other forest routes it", k, b.shardFor(k))
 		}
 	}
-	if err := e.CheckInvariants(); err != nil {
+	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestForestPartitionOutOfRangePanics(t *testing.T) {
-	f := NewForest[int, int](2, WithPartition[int](func(int) int { return 2 }))
-	h := f.NewHandle()
-	defer h.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range partition did not panic")
-		}
-	}()
-	h.Insert(1, 1)
 }
 
 func TestForestConcurrentChurn(t *testing.T) {
@@ -258,17 +226,10 @@ func TestForestDeleteCtx(t *testing.T) {
 // two-child deletes — on sibling shards.
 func TestForestShardIsolation(t *testing.T) {
 	const shards = 4
-	// Route by k % shards so the test can aim keys at specific shards.
-	f := NewForest[int, int](shards, WithPartition[int](func(k int) int {
-		k %= shards
-		if k < 0 {
-			k += shards
-		}
-		return k
-	}))
+	f := NewForest[int, int](shards)
 
 	// Park a reader inside shard 0's read-side critical section.
-	r := f.Domain(0).Register()
+	r := f.Flavor(0).Register()
 	r.ReadLock()
 	defer func() {
 		r.ReadUnlock()
@@ -284,16 +245,23 @@ func TestForestShardIsolation(t *testing.T) {
 		h := f.NewHandle()
 		defer h.Close()
 		for s := 1; s < shards; s++ {
-			// Build two-child victims in shard s: per triple, insert
-			// the middle key first so left and right become its
-			// children, then delete the middle — a two-child delete,
-			// which pays an inline grace period on shard s's domain.
-			for tr := 0; tr < 8; tr++ {
-				base := s + 3*tr*shards
-				mid, left, right := base+shards, base, base+2*shards
-				h.Insert(mid, tr)
-				h.Insert(left, tr)
-				h.Insert(right, tr)
+			// The 24 smallest keys routed to shard s, ascending.
+			var ks []int
+			for k := 0; len(ks) < 24; k++ {
+				if f.shardFor(k) == s {
+					ks = append(ks, k)
+				}
+			}
+			// Build two-child victims in shard s: per triple, each
+			// above every key before it, insert the middle key first
+			// so left and right become its children, then delete the
+			// middle — a two-child delete, which pays an inline grace
+			// period on shard s's domain.
+			for i := 0; i < len(ks); i += 3 {
+				left, mid, right := ks[i], ks[i+1], ks[i+2]
+				h.Insert(mid, i)
+				h.Insert(left, i)
+				h.Insert(right, i)
 				h.Delete(mid)
 			}
 		}
@@ -397,8 +365,8 @@ func TestForestStatsFold(t *testing.T) {
 	}
 }
 
-// A 1-shard forest must behave exactly like a Tree (the degenerate case
-// the bench uses as its baseline sanity check).
+// A 1-shard forest is the paper's single tree: every key in one shard,
+// iterated in order.
 func TestForestSingleShard(t *testing.T) {
 	f := NewForest[int, int](1)
 	h := f.NewHandle()
@@ -511,9 +479,6 @@ func TestForestShardFlavorEBR(t *testing.T) {
 		if _, ok := f.Flavor(i).(*rcu.EpochDomain); !ok {
 			t.Fatalf("Flavor(%d) = %T, want *rcu.EpochDomain", i, f.Flavor(i))
 		}
-		if f.Domain(i) != nil {
-			t.Fatalf("Domain(%d) = %v, want nil for a non-Domain flavor", i, f.Domain(i))
-		}
 	}
 
 	var wg sync.WaitGroup
@@ -547,6 +512,39 @@ func TestForestShardFlavorEBR(t *testing.T) {
 	}
 	if syncs == 0 {
 		t.Fatal("no Synchronizes recorded across EBR shards despite deletes")
+	}
+}
+
+// TestForestRange: Range emits every pair of a 4-shard forest in
+// ascending global key order, not shard by shard, and stops at the
+// pair where fn returns false.
+func TestForestRange(t *testing.T) {
+	f := NewForest[int, int](4)
+	h := f.NewHandle()
+	defer h.Close()
+	const n = 1000
+	want := make([]int, n)
+	for i, k := range rand.New(rand.NewSource(3)).Perm(n) {
+		h.Insert(k, -k)
+		want[i] = i
+	}
+	var keys []int
+	f.Range(func(k, v int) bool {
+		if v == -k {
+			keys = append(keys, k)
+		}
+		return true
+	})
+	if !slices.Equal(keys, want) {
+		t.Fatalf("Range emitted %d keys starting %v, want 0..%d ascending with their values", len(keys), keys[:min(len(keys), 8)], n-1)
+	}
+	keys = nil
+	f.Range(func(k, _ int) bool {
+		keys = append(keys, k)
+		return len(keys) < 10
+	})
+	if !slices.Equal(keys, want[:10]) {
+		t.Fatalf("Range stopped at the 10th pair emitted %v, want %v", keys, want[:10])
 	}
 }
 

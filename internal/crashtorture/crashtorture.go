@@ -96,15 +96,6 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// expectDurable reports whether the configured fsync policy promises
-// acked writes survive SIGKILL. none (alias nofsync) does not — it is
-// the negative control, and lost-write failures are its PASS
-// condition for the inverted CI step.
-func (c *Config) expectDurable() bool {
-	p := strings.ToLower(c.Fsync)
-	return p != "none" && p != "nofsync"
-}
-
 // BuildBinary compiles ./examples/kvserver from the enclosing module
 // into dir and returns the binary path. The harness runs the REAL
 // server binary, not an in-process stand-in: recovery must work from

@@ -43,8 +43,12 @@ func NewRouter[K comparable](seed maphash.Seed, n int) Router[K] {
 	return Router[K]{seed: seed, n: uint64(n)}
 }
 
-// Partition returns key's partition in [0, n).
+// Partition returns key's partition in [0, n). With one partition it
+// skips the hash, so a one-shard forest routes as cheaply as no router.
 func (r Router[K]) Partition(key K) int {
+	if r.n == 1 {
+		return 0
+	}
 	return int(maphash.Comparable(r.seed, key) % r.n)
 }
 
@@ -56,7 +60,7 @@ func (r Router[K]) N() int { return int(r.n) }
 // routers agree by default.
 var sharedSeed = maphash.MakeSeed()
 
-// SharedSeed returns the process-wide seed. Structures that default to
-// it (rhash.New, citrus.NewForest) agree with each other on where any
+// SharedSeed returns the process-wide seed. Structures built on it
+// (rhash.New, every citrus.Forest) agree with each other on where any
 // key hashes without the caller threading a seed through.
 func SharedSeed() maphash.Seed { return sharedSeed }

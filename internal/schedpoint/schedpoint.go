@@ -212,9 +212,6 @@ func Enable(p *Policy) { active.Store(p) }
 // current action.
 func Disable() { active.Store(nil) }
 
-// Enabled reports whether a policy is currently enabled.
-func Enabled() bool { return active.Load() != nil }
-
 // Hit marks one arrival at an injection point. With injection disabled
 // this is one atomic load and one branch; it never allocates.
 func Hit(pt Point) {

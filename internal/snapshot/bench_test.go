@@ -65,7 +65,7 @@ func BenchmarkSnapshotRecover(b *testing.B) {
 	}
 	b.Run("levelorder", func(b *testing.B) {
 		b.ReportAllocs()
-		var tree *citrus.Tree[int64, string]
+		var tree *citrus.Forest[int64, string]
 		for b.Loop() {
 			tree = citrus.New[int64, string]()
 			h := tree.NewHandle()

@@ -94,7 +94,7 @@ type Stats struct {
 
 // A StatsSource is a flavor that can report grace-period statistics.
 // Domain, ClassicDomain and EpochDomain implement it; consumers
-// (e.g. citrus.Tree.Stats) type-assert against it so flavors without
+// (e.g. citrus.Forest.Stats) type-assert against it so flavors without
 // accounting keep working.
 type StatsSource interface {
 	Stats() Stats

@@ -4,7 +4,7 @@ import "github.com/go-citrus/citrus/citrustrace"
 
 // Traceable is a flavor that can attach a grace-period event tracer.
 // Domain, ClassicDomain and EpochDomain implement it; consumers (e.g.
-// citrus.Tree.EnableTracing) type-assert against it so flavors without
+// citrus.Forest.EnableTracing) type-assert against it so flavors without
 // tracing keep working unchanged.
 //
 // With a tracer attached, every Synchronize records one EvSync span
